@@ -7,6 +7,8 @@
 * :mod:`repro.core.verification` — heavy-group bookkeeping and candidate
   set materialization (Section III-C, Algorithm 2).
 * :mod:`repro.core.netfilter` — the two-phase protocol (Algorithm 1).
+* :mod:`repro.core.session` — one attempt of it and the one retry /
+  coverage-gate loop every front end runs it under.
 * :mod:`repro.core.naive` — the naive full-collection baseline
   (Section IV-B).
 * :mod:`repro.core.oracle` — centralized ground truth for exactness tests.

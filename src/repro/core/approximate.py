@@ -162,18 +162,8 @@ class ApproximateIFIProtocol:
         keep = estimates >= threshold
         reported = LocalItemSet(nominated.ids[keep], estimates[keep])
 
-        after = network.accounting.bytes_by_category()
-        population = network.n_peers
-        breakdown = CostBreakdown(
-            sketch=(
-                after.get(CostCategory.SKETCH, 0) - before.get(CostCategory.SKETCH, 0)
-            )
-            / population,
-            control=(
-                after.get(CostCategory.CONTROL, 0)
-                - before.get(CostCategory.CONTROL, 0)
-            )
-            / population,
+        breakdown = CostBreakdown.from_delta(
+            before, network.accounting.bytes_by_category(), network.n_peers
         )
         return ApproximateResult(
             reported=reported,

@@ -61,11 +61,15 @@ from repro.aggregation.spec import AggregateSpec
 from repro.core.config import NetFilterConfig
 from repro.core.decay import DecayConfig
 from repro.core.filters import FilterBank
-from repro.core.netfilter import NetFilterResult, totals_spec, verification_spec
-from repro.core.verification import HeavyGroups, materialize_candidates
+from repro.core.netfilter import (
+    NetFilterResult,
+    filtering_spec,
+    totals_spec,
+    verification_spec,
+)
+from repro.core.session import AttemptPlan, run_attempt
 from repro.errors import AggregationError, ConfigurationError
 from repro.items.itemset import FadedItemSet, LocalItemSet
-from repro.metrics.breakdown import CostBreakdown
 from repro.net.node import Node
 from repro.net.wire import CostCategory, SizeModel
 
@@ -374,8 +378,6 @@ class EpochAttempt:
         count) pairs, with the epoch anchor riding down in the request."""
         monitor = self.monitor
         if self.mode == LEGACY_DENSE:
-            from repro.core.netfilter import filtering_spec
-
             return filtering_spec(monitor.bank)
         attempt = self
         dense = self.dense
@@ -410,36 +412,29 @@ class EpochAttempt:
         """Phase 2 over this attempt's staged views (faded / windowed /
         raw), so verification prices candidates in the same decayed space
         phase 1 selected them in."""
-        monitor = self.monitor
         if self.mode == LEGACY_DENSE:
-            return verification_spec(monitor.bank)
-        attempt = self
-        bank = monitor.bank
+            return verification_spec(self.monitor.bank)
+        return verification_spec(self.monitor.bank, items_of=self._view_items)
 
-        def contribute(node: Node, heavy: HeavyGroups) -> LocalItemSet:
-            partial = materialize_candidates(attempt._view_items(node), bank, heavy)
-            sim = node.network.sim
-            sim.telemetry.registry.histogram(
-                "netfilter.candidates_per_peer", buckets=(0, 1, 4, 16, 64, 256, 1024)
-            ).observe(len(partial))
-            sim.trace.emit(
-                sim.now,
-                "verify.materialized",
-                peer=node.peer_id,
-                candidates=len(partial),
-            )
-            return partial
+    def plan(self) -> AttemptPlan:
+        """This attempt as data for :func:`repro.core.session.run_attempt`:
+        the totals phase only when the threshold needs it (no decay), the
+        epoch anchor in the phase-1 request, and :meth:`fold` between the
+        phases."""
+        monitor = self.monitor
 
-        def request_bytes(heavy: HeavyGroups, model: SizeModel) -> int:
-            return heavy.wire_bytes(model)
+        def fold(aggregate: Any, grand_total: float | None) -> tuple[np.ndarray, float, float]:
+            preview = self.fold(aggregate, grand_total=grand_total)
+            return preview.group_totals, preview.threshold, preview.grand_total
 
-        return AggregateSpec(
-            name="netfilter.candidates",
-            combiner=KeyedSumCombiner(),
-            contribute=contribute,
-            up_category=CostCategory.AGGREGATION,
-            down_category=CostCategory.DISSEMINATION,
-            request_bytes=request_bytes,
+        return AttemptPlan(
+            config=monitor.config,
+            bank=monitor.bank,
+            totals=totals_spec() if monitor.decay is None else None,
+            phase1=self.phase1_spec(),
+            phase1_request=None if self.mode == LEGACY_DENSE else self.anchor,
+            fold=fold,
+            verification=self.verification_spec(),
         )
 
     # ------------------------------------------------------------------
@@ -732,66 +727,15 @@ class ContinuousNetFilter:
     # ------------------------------------------------------------------
     def run_epoch(self) -> EpochReport:
         """Run one monitoring epoch over the current peer data."""
-        engine = self.engine
-        network = engine.network
-        accounting = network.accounting
-        model = network.size_model
-        before = accounting.bytes_by_category()
-        started_at = engine.sim.now
         attempt = self.begin_attempt()
-
-        handles = []
-        grand_total: float | None = None
-        n_participants = 0
-        if self.decay is None:
-            totals_handle = engine.run_session(totals_spec())
-            handles.append(totals_handle)
-            grand_total, n_participants = totals_handle.value
-        anchor = None if attempt.mode == LEGACY_DENSE else attempt.anchor
-        phase1 = engine.run_session(attempt.phase1_spec(), request_data=anchor)
-        handles.append(phase1)
-        preview = attempt.fold(phase1.value, grand_total=grand_total)
-        if self.decay is not None:
-            n_participants = phase1.covered
-        heavy = HeavyGroups.from_aggregate(
-            self.bank, preview.group_totals, preview.threshold
-        )
-        verify = engine.run_session(attempt.verification_spec(), request_data=heavy)
-        handles.append(verify)
-        candidates: LocalItemSet = verify.value
-        frequent = candidates.filter_values(preview.threshold)
-
-        after = accounting.bytes_by_category()
-        population = network.n_peers
-        diff = {
-            category: after.get(category, 0) - before.get(category, 0)
-            for category in sorted(set(before) | set(after))
-        }
-        breakdown = CostBreakdown(
-            filtering=diff.get(CostCategory.FILTERING, 0) / population,
-            dissemination=diff.get(CostCategory.DISSEMINATION, 0) / population,
-            aggregation=diff.get(CostCategory.AGGREGATION, 0) / population,
-            control=diff.get(CostCategory.CONTROL, 0) / population,
-        )
-        result = NetFilterResult(
-            frequent=frequent,
-            candidates=candidates,
-            heavy_groups=heavy,
-            threshold=preview.threshold,
-            grand_total=int(preview.grand_total),
-            n_participants=int(n_participants),
-            breakdown=breakdown,
-            avg_candidates_per_peer=(
-                diff.get(CostCategory.AGGREGATION, 0) / model.pair_bytes / population
-            ),
-            config=self.config,
-            elapsed_time=engine.sim.now - started_at,
-            coverage=min(handle.coverage for handle in handles),
-            complete=all(handle.complete for handle in handles),
-        )
-        report = attempt.commit(result, tuple(network.live_peers()))
-        self.epoch = max(self.epoch, attempt.epoch + 1)
-        return report
+        result, reason = run_attempt(self.engine, attempt.plan())
+        if reason:
+            attempt.abandon()
+            raise AggregationError(
+                f"epoch {attempt.epoch} did not complete ({reason}); supervise "
+                "the monitor with repro.service.MonitorService to retry"
+            )
+        return attempt.commit(result, tuple(self.engine.network.live_peers()))
 
     # ------------------------------------------------------------------
     # Probes

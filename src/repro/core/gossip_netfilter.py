@@ -241,18 +241,9 @@ class GossipNetFilter:
             reported = LocalItemSet.from_pairs(reported_pairs)
             span["reported"] = len(reported_pairs)
 
-        after = accounting.bytes_by_category()
         population = network.n_peers
-        breakdown = CostBreakdown(
-            gossip=(
-                after.get(CostCategory.GOSSIP, 0) - before.get(CostCategory.GOSSIP, 0)
-            )
-            / population,
-            dissemination=(
-                after.get(CostCategory.DISSEMINATION, 0)
-                - before.get(CostCategory.DISSEMINATION, 0)
-            )
-            / population,
+        breakdown = CostBreakdown.from_delta(
+            before, accounting.bytes_by_category(), population
         )
         return GossipNetFilterResult(
             reported=reported,

@@ -106,19 +106,9 @@ class NaiveProtocol:
         all_items: LocalItemSet = collection_handle.value
         frequent = all_items.filter_values(threshold)
 
-        after = accounting.bytes_by_category()
-        population = network.n_peers
-        naive_bytes = after.get(CostCategory.NAIVE, 0) - before.get(
-            CostCategory.NAIVE, 0
+        breakdown = CostBreakdown.from_delta(
+            before, accounting.bytes_by_category(), network.n_peers
         )
-        control_bytes = after.get(CostCategory.CONTROL, 0) - before.get(
-            CostCategory.CONTROL, 0
-        )
-        breakdown = CostBreakdown(
-            naive=naive_bytes / population,
-            control=control_bytes / population,
-        )
-        pairs_sent = naive_bytes / network.size_model.pair_bytes
         return NaiveResult(
             frequent=frequent,
             all_items=all_items,
@@ -126,7 +116,7 @@ class NaiveProtocol:
             grand_total=int(grand_total),
             n_participants=int(n_participants),
             breakdown=breakdown,
-            avg_items_per_peer=pairs_sent / population,
+            avg_items_per_peer=breakdown.naive / network.size_model.pair_bytes,
             elapsed_time=engine.sim.now - started_at,
             coverage=min(totals_handle.coverage, collection_handle.coverage),
             complete=totals_handle.complete and collection_handle.complete,

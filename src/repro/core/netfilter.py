@@ -19,8 +19,8 @@ values — the properties the oracle-equivalence tests assert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+import dataclasses
+from typing import Any, Callable
 
 import numpy as np
 
@@ -35,87 +35,15 @@ from repro.aggregation.spec import AggregateSpec
 from repro.core.config import NetFilterConfig
 from repro.core.filters import FilterBank
 from repro.core.recovery import RecoveryPolicy
+from repro.core.session import AttemptPlan, below_floor, run_attempt, run_phase
+from repro.core.session import NetFilterResult as NetFilterResult  # re-exported: its public home
 from repro.core.verification import HeavyGroups, materialize_candidates
 from repro.items.itemset import LocalItemSet
-from repro.metrics.breakdown import CostBreakdown
 from repro.net.node import Node
 from repro.net.wire import CostCategory, SizeModel
 
-
-@dataclass(frozen=True)
-class NetFilterResult:
-    """Everything one netFilter run produced.
-
-    Attributes
-    ----------
-    frequent:
-        The exact answer: frequent item ids with their exact global values.
-    candidates:
-        The merged candidate set the root verified (frequent items plus
-        the filtering false positives).
-    heavy_groups:
-        The heavy item groups found by phase 1.
-    threshold:
-        The absolute threshold ``t`` used.
-    grand_total:
-        The measured grand total ``v``.
-    n_participants:
-        Peers that contributed (the aggregated ``N``).
-    breakdown:
-        Measured per-peer byte costs for this run only.
-    avg_candidates_per_peer:
-        Measured average number of candidate pairs each peer propagated in
-        phase 2 — the y-axis of Figure 5(a)/6(a).
-    config:
-        The configuration that produced this result.
-    """
-
-    frequent: LocalItemSet
-    candidates: LocalItemSet
-    heavy_groups: HeavyGroups
-    threshold: float
-    grand_total: int
-    n_participants: int
-    breakdown: CostBreakdown
-    avg_candidates_per_peer: float
-    config: NetFilterConfig
-    #: Simulated time the whole run took (three convergecasts; with unit
-    #: link latency this is a few times the hierarchy height — the
-    #: latency face of the hierarchical-vs-gossip trade-off).
-    elapsed_time: float = 0.0
-    #: Worst per-phase coverage fraction (covered / live peers at phase
-    #: start) across the run's three convergecasts.
-    coverage: float = 1.0
-    #: Whether every phase covered every live peer.  Only a ``complete``
-    #: result carries the paper's no-false-negative guarantee; an
-    #: incomplete one may have silently pruned a frequent item.
-    complete: bool = True
-    #: Phase + whole-query re-issues spent getting here.
-    reissues: int = 0
-
-    @property
-    def frequent_ids(self) -> np.ndarray:
-        """Ids of the reported frequent items, ascending."""
-        return self.frequent.ids
-
-    @property
-    def candidate_count(self) -> int:
-        """Distinct candidates verified in phase 2."""
-        return len(self.candidates)
-
-    @property
-    def false_positive_count(self) -> int:
-        """Candidates that verification rejected (``fp`` in the paper —
-        false positives *of the candidate set*; the final answer has
-        none)."""
-        return len(self.candidates) - len(self.frequent)
-
-    def __str__(self) -> str:
-        return (
-            f"NetFilterResult({len(self.frequent)} frequent items, "
-            f"{self.candidate_count} candidates, t={self.threshold}, "
-            f"{self.breakdown.total:.0f} B/peer)"
-        )
+#: ``NetFilter`` without a recovery policy: one attempt, no re-issue.
+_NO_RECOVERY = RecoveryPolicy(max_phase_reissues=0, max_query_reissues=0)
 
 
 def totals_spec() -> AggregateSpec:
@@ -142,12 +70,16 @@ def filtering_spec(bank: FilterBank) -> AggregateSpec:
     )
 
 
-def verification_spec(bank: FilterBank) -> AggregateSpec:
+def verification_spec(
+    bank: FilterBank, items_of: Callable[[Node], LocalItemSet] = lambda node: node.items
+) -> AggregateSpec:
     """Phase 2: heavy groups ride down in the request (dissemination),
-    partial candidate sets merge upward (Algorithm 2)."""
+    partial candidate sets merge upward (Algorithm 2).  ``items_of`` is
+    the item set a peer verifies against — its current one, or the staged
+    (faded / windowed) view a continuous epoch's phase 1 represented."""
 
     def contribute(node: Node, heavy: HeavyGroups) -> LocalItemSet:
-        partial = materialize_candidates(node.items, bank, heavy)
+        partial = materialize_candidates(items_of(node), bank, heavy)
         sim = node.network.sim
         sim.telemetry.registry.histogram(
             "netfilter.candidates_per_peer", buckets=(0, 1, 4, 16, 64, 256, 1024)
@@ -173,6 +105,26 @@ def verification_spec(bank: FilterBank) -> AggregateSpec:
     )
 
 
+def one_shot_plan(config: NetFilterConfig) -> AttemptPlan:
+    """Algorithm 1 as the paper states it: the threshold is ``ρ·v`` off the
+    totals phase and phase 1's aggregate *is* the group-total vector."""
+    bank = FilterBank(config.num_filters, config.filter_size, config.hash_seed)
+
+    def fold(aggregate: Any, grand_total: float | None) -> tuple[np.ndarray, float, float]:
+        assert grand_total is not None  # the totals phase always runs
+        return aggregate, config.resolve_threshold(int(grand_total)), grand_total
+
+    return AttemptPlan(
+        config=config,
+        bank=bank,
+        totals=totals_spec(),
+        phase1=filtering_spec(bank),
+        phase1_request=None,
+        fold=fold,
+        verification=verification_spec(bank),
+    )
+
+
 class NetFilter:
     """The two-phase in-network filtering protocol.
 
@@ -194,59 +146,6 @@ class NetFilter:
         self.config = config
         self.recovery = recovery
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def _attempt(
-        self,
-        engine: AggregationEngine,
-        spec: AggregateSpec,
-        request_data: Any = None,
-    ) -> SessionHandle:
-        """One session attempt that never raises on a dead root: a root
-        that is down when the attempt starts yields a synthetic failed
-        handle, so the recovery loop can wait for failover and re-aim at
-        the promoted root instead of aborting the whole query."""
-        if not engine.network.node(engine.hierarchy.root).alive:
-            return engine.dead_root_session(spec)
-        return engine.run_session(spec, request_data)
-
-    def _run_phase(
-        self,
-        engine: AggregationEngine,
-        spec: AggregateSpec,
-        request_data: Any = None,
-    ) -> tuple[SessionHandle, int]:
-        """Run one aggregation phase; under a recovery policy, re-issue it
-        (after a backed-off settle delay) while it stays failed or below
-        the coverage floor and budget remains.  Re-issues go to whatever
-        ``engine.hierarchy.root`` is *now* — after a root failover that is
-        the promoted successor.  Returns the best handle and the re-issues
-        spent."""
-        handle = self._attempt(engine, spec, request_data)
-        reissues = 0
-        if self.recovery is None:
-            return handle, reissues
-        sim = engine.sim
-        while (
-            handle.failed or handle.coverage < self.recovery.min_coverage
-        ) and reissues < self.recovery.max_phase_reissues:
-            reissues += 1
-            sim.trace.emit(
-                sim.now,
-                "request.reissued",
-                scope="phase",
-                spec=spec.name,
-                coverage=handle.coverage,
-                attempt=reissues,
-            )
-            sim.telemetry.registry.counter("recovery.phase_reissues").inc()
-            sim.run(until=sim.now + self.recovery.delay_for(reissues))
-            retry = self._attempt(engine, spec, request_data)
-            if not retry.failed and (handle.failed or retry.coverage >= handle.coverage):
-                handle = retry
-        return handle, reissues
-
     def run(self, engine: AggregationEngine) -> NetFilterResult:
         """Execute Algorithm 1 over the engine's hierarchy and return the
         exact frequent-item set with measured costs.
@@ -259,164 +158,58 @@ class NetFilter:
         its *root* mid-flight is re-issued the same way — against whatever
         root the hierarchy has by then, i.e. the failover successor once
         maintenance promotes one.  Without a recovery policy a root loss
-        yields an empty result flagged ``complete=False``."""
-        result = self._run_once(engine, reissues_so_far=0)
-        attempts = 0
-        while (
-            self.recovery is not None
-            and not result.complete
-            and attempts < self.recovery.max_query_reissues
-        ):
-            attempts += 1
-            sim = engine.sim
+        yields an empty result flagged ``complete=False``.
+
+        The standing services discard an attempt that falls short; a
+        one-shot query has nothing older to serve, so at both levels a
+        re-issue replaces what is kept only if it covers at least as much,
+        and the best-covered answer is returned, flagged."""
+        policy = self.recovery or _NO_RECOVERY
+        sim = engine.sim
+        telemetry = sim.telemetry
+        plan = one_shot_plan(self.config)
+        reissues = 0
+
+        def reissue(scope: str, attempt: int, coverage: float, **fields: Any) -> None:
+            nonlocal reissues
+            reissues += 1
             sim.trace.emit(
                 sim.now,
                 "request.reissued",
-                scope="query",
-                coverage=result.coverage,
-                attempt=attempts,
+                scope=scope,
+                **fields,
+                coverage=coverage,
+                attempt=attempt,
             )
-            sim.telemetry.registry.counter("recovery.query_reissues").inc()
-            sim.run(until=sim.now + self.recovery.delay_for(attempts))
-            retry = self._run_once(engine, reissues_so_far=result.reissues + 1)
-            if retry.coverage >= result.coverage:
-                result = retry
-        return result
+            telemetry.registry.counter(f"recovery.{scope}_reissues").inc()
+            sim.run(until=sim.now + policy.delay_for(attempt))
 
-    def _aborted_result(
-        self,
-        engine: AggregationEngine,
-        before: dict[CostCategory, int],
-        started_at: float,
-        reissues: int,
-    ) -> NetFilterResult:
-        """The honest answer when a phase lost its root and the retry
-        budget (or the absence of a recovery policy) could not restore it:
-        an empty result flagged ``complete=False`` with zero coverage —
-        never a silently wrong frequent-item set."""
-        network = engine.network
-        after = network.accounting.bytes_by_category()
-        population = network.n_peers
-        delta = {
-            category: after.get(category, 0) - before.get(category, 0)
-            for category in sorted(set(before) | set(after))
-        }
-        breakdown = CostBreakdown(
-            filtering=delta.get(CostCategory.FILTERING, 0) / population,
-            dissemination=delta.get(CostCategory.DISSEMINATION, 0) / population,
-            aggregation=delta.get(CostCategory.AGGREGATION, 0) / population,
-            control=delta.get(CostCategory.CONTROL, 0) / population,
-        )
-        return NetFilterResult(
-            frequent=LocalItemSet.empty(),
-            candidates=LocalItemSet.empty(),
-            heavy_groups=HeavyGroups(per_filter=()),
-            threshold=0,
-            grand_total=0,
-            n_participants=0,
-            breakdown=breakdown,
-            avg_candidates_per_peer=0.0,
-            config=self.config,
-            elapsed_time=engine.sim.now - started_at,
-            coverage=0.0,
-            complete=False,
-            reissues=reissues,
-        )
+        def phase(spec: AggregateSpec, request_data: Any) -> SessionHandle:
+            handle = run_phase(engine, spec, request_data)
+            for attempt in range(1, policy.max_phase_reissues + 1):
+                if not (handle.failed or below_floor(handle.coverage, policy.min_coverage)):
+                    break
+                reissue("phase", attempt, handle.coverage, spec=spec.name)
+                retry = run_phase(engine, spec, request_data)
+                if not retry.failed and (handle.failed or retry.coverage >= handle.coverage):
+                    handle = retry
+            return handle
 
-    def _run_once(
-        self, engine: AggregationEngine, reissues_so_far: int
-    ) -> NetFilterResult:
-        network = engine.network
-        telemetry = engine.sim.telemetry
-        accounting = network.accounting
-        before = accounting.bytes_by_category()
-        started_at = engine.sim.now
+        def query() -> NetFilterResult:
+            with telemetry.span("netfilter.run") as span:
+                result, reason = run_attempt(engine, plan, phase=phase)
+                if not reason:
+                    span["frequent"] = len(result.frequent)
+            return result
 
-        phase_handles: list[SessionHandle] = []
-        reissues = reissues_so_far
-
-        with telemetry.span("netfilter.run") as run_span:
-            # Step 0: grand total v and participant count N.
-            with telemetry.span("totals.phase") as span:
-                handle, spent = self._run_phase(engine, totals_spec())
-                phase_handles.append(handle)
-                reissues += spent
-                if handle.failed:
-                    return self._aborted_result(engine, before, started_at, reissues)
-                grand_total, n_participants = handle.value
-                threshold = self.config.resolve_threshold(int(grand_total))
-                span["participants"] = int(n_participants)
-
-            bank = FilterBank(
-                self.config.num_filters, self.config.filter_size, self.config.hash_seed
-            )
-
-            # Phase 1: candidate filtering (Algorithm 1, lines 1-3).
-            with telemetry.span(
-                "filter.phase",
-                num_filters=self.config.num_filters,
-                filter_size=self.config.filter_size,
-            ) as span:
-                handle, spent = self._run_phase(engine, filtering_spec(bank))
-                phase_handles.append(handle)
-                reissues += spent
-                if handle.failed:
-                    return self._aborted_result(engine, before, started_at, reissues)
-                heavy = HeavyGroups.from_aggregate(bank, handle.value, threshold)
-                span["heavy_groups"] = heavy.total_count
-                telemetry.registry.histogram(
-                    "netfilter.heavy_groups", buckets=(0, 1, 4, 16, 64, 256, 1024)
-                ).observe(heavy.total_count)
-                telemetry.emit(
-                    "filter.heavy_groups",
-                    total=heavy.total_count,
-                    per_filter=list(heavy.counts),
-                    threshold=threshold,
-                )
-
-            # Phase 2: candidate verification (Algorithm 1, line 4;
-            # Algorithm 2).
-            with telemetry.span("verify.phase") as span:
-                handle, spent = self._run_phase(
-                    engine, verification_spec(bank), request_data=heavy
-                )
-                phase_handles.append(handle)
-                reissues += spent
-                if handle.failed:
-                    return self._aborted_result(engine, before, started_at, reissues)
-                candidates: LocalItemSet = handle.value
-                frequent = candidates.filter_values(threshold)
-                span["candidates"] = len(candidates)
-                span["frequent"] = len(frequent)
-            run_span["frequent"] = len(frequent)
-
-        after = accounting.bytes_by_category()
-        population = network.n_peers
-        delta = {
-            category: after.get(category, 0) - before.get(category, 0)
-            for category in sorted(set(before) | set(after))
-        }
-        breakdown = CostBreakdown(
-            filtering=delta.get(CostCategory.FILTERING, 0) / population,
-            dissemination=delta.get(CostCategory.DISSEMINATION, 0) / population,
-            aggregation=delta.get(CostCategory.AGGREGATION, 0) / population,
-            control=delta.get(CostCategory.CONTROL, 0) / population,
-        )
-        pairs_sent = delta.get(CostCategory.AGGREGATION, 0) / network.size_model.pair_bytes
-        coverage = min(handle.coverage for handle in phase_handles)
-        complete = all(handle.complete for handle in phase_handles)
-        return NetFilterResult(
-            frequent=frequent,
-            candidates=candidates,
-            heavy_groups=heavy,
-            threshold=threshold,
-            grand_total=int(grand_total),
-            n_participants=int(n_participants),
-            breakdown=breakdown,
-            avg_candidates_per_peer=pairs_sent / population,
-            config=self.config,
-            elapsed_time=engine.sim.now - started_at,
-            coverage=coverage,
-            complete=complete,
-            reissues=reissues,
-        )
+        best = query()
+        for attempt in range(1, policy.max_query_reissues + 1):
+            if best.complete:
+                break
+            reissue("query", attempt, best.coverage)
+            retry = query()
+            if retry.coverage >= best.coverage:
+                best = retry
+        # Every re-issue the network carried, including those of a
+        # whole-query retry that was discarded for covering less.
+        return dataclasses.replace(best, reissues=reissues)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.session import backoff, check_retry_policy
 from repro.errors import ConfigurationError
 
 
@@ -63,24 +64,18 @@ class RecoveryPolicy:
     reissue_delay_cap: float = 400.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.min_coverage <= 1.0):
-            raise ConfigurationError("min_coverage must be in (0, 1]")
+        check_retry_policy(
+            "reissue_delay", self.reissue_delay, self.backoff_factor, self.min_coverage
+        )
         if self.max_phase_reissues < 0:
             raise ConfigurationError("max_phase_reissues must be non-negative")
         if self.max_query_reissues < 0:
             raise ConfigurationError("max_query_reissues must be non-negative")
-        if self.reissue_delay < 0:
-            raise ConfigurationError("reissue_delay must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError("backoff_factor must be >= 1.0")
         if self.reissue_delay_cap < self.reissue_delay:
             raise ConfigurationError("reissue_delay_cap must be >= reissue_delay")
 
     def delay_for(self, attempt: int) -> float:
         """Settle delay before re-issue number ``attempt`` (1-based)."""
-        if attempt < 1:
-            raise ConfigurationError(f"attempt must be >= 1, got {attempt}")
-        return min(
-            self.reissue_delay_cap,
-            self.reissue_delay * self.backoff_factor ** (attempt - 1),
+        return backoff(
+            self.reissue_delay, self.backoff_factor, attempt, self.reissue_delay_cap
         )

@@ -15,6 +15,7 @@ traffic in any reported component).
 
 from __future__ import annotations
 
+import dataclasses
 import weakref
 from dataclasses import dataclass
 from typing import Callable
@@ -241,11 +242,8 @@ class MultiRequestCoordinator:
 
         # 2. One netFilter run at the minimum threshold ratio.
         min_ratio = min(p.threshold_ratio for p in self._pending_at_root)
-        shared_config = NetFilterConfig(
-            filter_size=self.config.filter_size,
-            num_filters=self.config.num_filters,
-            threshold_ratio=min_ratio,
-            hash_seed=self.config.hash_seed,
+        shared_config = dataclasses.replace(
+            self.config, threshold_ratio=min_ratio, threshold=None
         )
         shared_result = NetFilter(shared_config).run(engine)
 

@@ -31,9 +31,9 @@ from repro.aggregation.hierarchical import AggregationEngine
 from repro.experiments.harness import ExperimentScale, PaperDefaults, build_trial
 from repro.experiments.parallel import TrialSpec, run_trials
 from repro.hierarchy.builder import Hierarchy
+from repro.metrics.breakdown import CostBreakdown
 from repro.net.network import Network
 from repro.net.overlay import Topology
-from repro.net.wire import CostCategory
 from repro.sim.engine import Simulation
 from repro.workload.workload import Workload
 
@@ -95,17 +95,11 @@ def ablation_gossip(
     network = trial.network
     bank = FilterBank(num_filters=1, filter_size=filter_size, hash_seed=0)
 
-    before = network.accounting.bytes_by_category()
     config = NetFilterConfig(
         filter_size=filter_size, num_filters=1,
         threshold_ratio=trial.defaults.threshold_ratio,
     )
-    net_result = NetFilter(config).run(trial.engine)
-    del net_result
-    after = network.accounting.bytes_by_category()
-    hier_bytes = after.get(CostCategory.FILTERING, 0) - before.get(
-        CostCategory.FILTERING, 0
-    )
+    hierarchical = NetFilter(config).run(trial.engine).breakdown
 
     contributions = {
         peer: bank.local_group_aggregates(network.node(peer).items).astype(np.float64)
@@ -120,9 +114,8 @@ def ablation_gossip(
     )
     before = network.accounting.bytes_by_category()
     gossip.run()
-    after = network.accounting.bytes_by_category()
-    gossip_bytes = after.get(CostCategory.GOSSIP, 0) - before.get(
-        CostCategory.GOSSIP, 0
+    pushsum = CostBreakdown.from_delta(
+        before, network.accounting.bytes_by_category(), network.n_peers
     )
     estimate = gossip.estimate_at(trial.hierarchy.root)
     nonzero = truth > 0
@@ -131,16 +124,15 @@ def ablation_gossip(
         if nonzero.any()
         else 0.0
     )
-    population = network.n_peers
     return [
         AblationRow(
             "hierarchical",
-            {"B/peer": hier_bytes / population, "max rel err": 0.0, "rounds": 1.0},
+            {"B/peer": hierarchical.filtering, "max rel err": 0.0, "rounds": 1.0},
         ),
         AblationRow(
             f"push-sum({rounds}r)",
             {
-                "B/peer": gossip_bytes / population,
+                "B/peer": pushsum.gossip,
                 "max rel err": rel_error,
                 "rounds": float(rounds),
             },
@@ -167,9 +159,8 @@ def ablation_parameter_estimation(
     estimator = ParameterEstimator(trial.engine, SamplingConfig(n_branches=4))
     before = trial.network.accounting.bytes_by_category()
     sampled_estimates = estimator.run(ratio)
-    after = trial.network.accounting.bytes_by_category()
-    sampling_bytes = after.get(CostCategory.SAMPLING, 0) - before.get(
-        CostCategory.SAMPLING, 0
+    sampling = CostBreakdown.from_delta(
+        before, trial.network.accounting.bytes_by_category(), trial.network.n_peers
     )
 
     rows = []
@@ -191,9 +182,7 @@ def ablation_parameter_estimation(
                     "f": float(settings.num_filters),
                     "total B/peer": result.breakdown.total,
                     "sampling B/peer": (
-                        sampling_bytes / trial.network.n_peers
-                        if estimates.source != "oracle"
-                        else 0.0
+                        sampling.sampling if estimates.source != "oracle" else 0.0
                     ),
                 },
             )

@@ -7,39 +7,27 @@ netFilter execution at the minimum requested ratio, and each member's
 answer is carved from the shared superset at its own threshold (items
 frequent at ``t`` are a subset of those frequent at ``t_min``).
 
-Unlike :meth:`NetFilter.run`, the session here runs under a hard
-sim-time deadline (the front door must keep its next scheduling round),
-retries with exponential backoff while budget remains, and gates commit
-on the :class:`~repro.core.recovery.RecoveryPolicy`-style coverage floor
-— a session that cannot cover enough of the live population honestly
-fails instead of committing a silently-wrong superset.
+The session is :func:`repro.core.session.run_attempt` under
+:func:`~repro.core.session.supervise`: unlike :meth:`NetFilter.run` it
+has a hard sim-time deadline (the front door must keep its next
+scheduling round), retries with exponential backoff while budget
+remains, and discards an attempt below the coverage floor — a session
+that cannot cover enough of the live population honestly fails instead
+of committing a silently-wrong superset.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Any
+from functools import partial
 
-from repro.aggregation.hierarchical import AggregationEngine, SessionHandle
-from repro.aggregation.spec import AggregateSpec
+from repro.aggregation.hierarchical import AggregationEngine
 from repro.core.config import NetFilterConfig, ceil_threshold
-from repro.core.filters import FilterBank
-from repro.core.netfilter import (
-    NetFilterResult,
-    filtering_spec,
-    totals_spec,
-    verification_spec,
-)
-from repro.core.verification import HeavyGroups
+from repro.core.netfilter import NetFilterResult, one_shot_plan
+from repro.core.session import run_attempt, supervise
 from repro.frontdoor.config import FrontDoorConfig
 from repro.items.itemset import LocalItemSet
-from repro.metrics.breakdown import CostBreakdown
-from repro.net.wire import CostCategory
-
-#: Session failure reasons (mirrors the monitor service's vocabulary).
-FAIL_DEADLINE = "deadline"
-FAIL_ROOT_LOST = "root_lost"
-FAIL_COVERAGE = "coverage"
 
 
 @dataclass(frozen=True)
@@ -97,110 +85,6 @@ class BatchSessionRunner:
         self.filter_config = filter_config
         self.config = config
 
-    # ------------------------------------------------------------------
-    # One phase under the deadline
-    # ------------------------------------------------------------------
-    def _phase(
-        self, spec: AggregateSpec, request_data: Any, deadline: float
-    ) -> SessionHandle | None:
-        """``None`` means the deadline expired with the phase in flight;
-        a failed handle means the root was lost (dead at start or died
-        mid-session)."""
-        engine = self.engine
-        if not engine.network.node(engine.hierarchy.root).alive:
-            return engine.dead_root_session(spec)
-        handle = engine.start(spec, request_data)
-        engine.drive_session(handle, deadline=deadline)
-        if not handle.done:
-            return None
-        return handle
-
-    def _attempt(self, min_ratio: float, deadline: float) -> tuple[NetFilterResult | None, str]:
-        """One full three-phase attempt at the minimum ratio."""
-        engine = self.engine
-        sim = engine.sim
-        network = engine.network
-        accounting = network.accounting
-        before = accounting.bytes_by_category()
-        started_at = sim.now
-
-        handles: list[SessionHandle] = []
-        totals = self._phase(totals_spec(), None, deadline)
-        if totals is None or totals.failed:
-            return None, FAIL_DEADLINE if totals is None else FAIL_ROOT_LOST
-        handles.append(totals)
-        grand_total, n_participants = totals.value
-        threshold = ceil_threshold(min_ratio, int(grand_total))
-
-        bank = FilterBank(
-            self.filter_config.num_filters,
-            self.filter_config.filter_size,
-            self.filter_config.hash_seed,
-        )
-        phase1 = self._phase(filtering_spec(bank), None, deadline)
-        if phase1 is None or phase1.failed:
-            return None, FAIL_DEADLINE if phase1 is None else FAIL_ROOT_LOST
-        handles.append(phase1)
-        heavy = HeavyGroups.from_aggregate(bank, phase1.value, threshold)
-
-        verify = self._phase(verification_spec(bank), heavy, deadline)
-        if verify is None or verify.failed:
-            return None, FAIL_DEADLINE if verify is None else FAIL_ROOT_LOST
-        handles.append(verify)
-
-        coverage = min(handle.coverage for handle in handles)
-        complete = all(handle.complete for handle in handles)
-        gated = (
-            not complete
-            if self.config.min_coverage >= 1.0
-            else coverage < self.config.min_coverage
-        )
-        if gated:
-            return None, FAIL_COVERAGE
-
-        candidates: LocalItemSet = verify.value
-        frequent = candidates.filter_values(threshold)
-        after = accounting.bytes_by_category()
-        population = network.n_peers
-        diff = {
-            category: after.get(category, 0) - before.get(category, 0)
-            for category in sorted(set(before) | set(after))
-        }
-        breakdown = CostBreakdown(
-            filtering=diff.get(CostCategory.FILTERING, 0) / population,
-            dissemination=diff.get(CostCategory.DISSEMINATION, 0) / population,
-            aggregation=diff.get(CostCategory.AGGREGATION, 0) / population,
-            control=diff.get(CostCategory.CONTROL, 0) / population,
-        )
-        shared_config = NetFilterConfig(
-            filter_size=self.filter_config.filter_size,
-            num_filters=self.filter_config.num_filters,
-            threshold_ratio=min_ratio,
-            hash_seed=self.filter_config.hash_seed,
-        )
-        result = NetFilterResult(
-            frequent=frequent,
-            candidates=candidates,
-            heavy_groups=heavy,
-            threshold=threshold,
-            grand_total=int(grand_total),
-            n_participants=int(n_participants),
-            breakdown=breakdown,
-            avg_candidates_per_peer=(
-                diff.get(CostCategory.AGGREGATION, 0)
-                / network.size_model.pair_bytes
-                / population
-            ),
-            config=shared_config,
-            elapsed_time=sim.now - started_at,
-            coverage=coverage,
-            complete=complete,
-        )
-        return result, ""
-
-    # ------------------------------------------------------------------
-    # The batch entry point
-    # ------------------------------------------------------------------
     def run(self, batch: list[PendingRequest]) -> BatchOutcome:
         """Serve ``batch`` with one shared session (plus bounded retries).
 
@@ -214,39 +98,39 @@ class BatchSessionRunner:
         telemetry = sim.telemetry
         config = self.config
         min_ratio = min(request.threshold_ratio for request in batch)
+        plan = one_shot_plan(
+            dataclasses.replace(
+                self.filter_config, threshold_ratio=min_ratio, threshold=None
+            )
+        )
         deadline = sim.now + config.session_deadline
         before_total = engine.network.accounting.total_bytes()
-        attempts = 0
-        reason = FAIL_DEADLINE
-        result: NetFilterResult | None = None
+
+        def retrying(attempts: int, reason: str) -> None:
+            if attempts <= config.max_session_retries:
+                telemetry.emit("frontdoor.session_retry", attempt=attempts, reason=reason)
+
         with telemetry.span(
             "frontdoor.session", batch=len(batch), min_ratio=min_ratio
         ) as span:
-            while result is None and attempts <= config.max_session_retries:
-                if attempts and sim.now >= deadline:
-                    break
-                attempts += 1
-                result, reason = self._attempt(min_ratio, deadline)
-                if result is None and attempts <= config.max_session_retries:
-                    telemetry.emit(
-                        "frontdoor.session_retry",
-                        attempt=attempts,
-                        reason=reason,
-                    )
-                    settle = min(
-                        config.retry_delay(attempts),
-                        max(deadline - sim.now, 0.0),
-                    )
-                    if settle > 0:
-                        sim.run(until=sim.now + settle)
-            span["committed"] = result is not None
+            result, reason, attempts = supervise(
+                sim,
+                partial(
+                    run_attempt, engine, plan, deadline=deadline, min_coverage=config.min_coverage
+                ),
+                max_attempts=1 + config.max_session_retries,
+                deadline=deadline,
+                delay=config.retry_delay,
+                on_failure=retrying,
+            )
+            span["committed"] = not reason
             span["attempts"] = attempts
         bytes_spent = float(
             engine.network.accounting.total_bytes() - before_total
         )
         return BatchOutcome(
-            result=result,
-            reason="" if result is not None else reason,
+            result=None if reason else result,
+            reason=reason,
             attempts=attempts,
             bytes_spent=bytes_spent,
             min_ratio=min_ratio,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.session import backoff, check_retry_policy
 from repro.errors import ConfigurationError
 
 #: ``retry_after`` value meaning "do not retry": the rejection is
@@ -152,18 +153,9 @@ class FrontDoorConfig:
             raise ConfigurationError(
                 f"max_session_retries must be non-negative, got {self.max_session_retries}"
             )
-        if self.retry_backoff < 0:
-            raise ConfigurationError(
-                f"retry_backoff must be non-negative, got {self.retry_backoff}"
-            )
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"backoff_factor must be at least 1, got {self.backoff_factor}"
-            )
-        if not 0 < self.min_coverage <= 1.0:
-            raise ConfigurationError(
-                f"min_coverage must be in (0, 1], got {self.min_coverage}"
-            )
+        check_retry_policy(
+            "retry_backoff", self.retry_backoff, self.backoff_factor, self.min_coverage
+        )
         if self.client_timeout <= self.round_interval:
             raise ConfigurationError(
                 "client_timeout must exceed round_interval (a request must "
@@ -179,5 +171,6 @@ class FrontDoorConfig:
             )
 
     def retry_delay(self, attempt: int) -> float:
-        """Settle delay before session retry number ``attempt`` (1-based)."""
-        return self.retry_backoff * self.backoff_factor ** (attempt - 1)
+        """Settle delay before session retry number ``attempt`` (1-based);
+        the session deadline, not a cap, bounds the schedule."""
+        return backoff(self.retry_backoff, self.backoff_factor, attempt)

@@ -54,9 +54,21 @@ class CostBreakdown:
     @classmethod
     def from_accounting(cls, accounting: CostAccounting, n_peers: int) -> "CostBreakdown":
         """Summarize a :class:`CostAccounting` into per-peer averages."""
+        return cls.from_delta({}, accounting.bytes_by_category(), n_peers)
+
+    @classmethod
+    def from_delta(
+        cls,
+        before: dict[CostCategory, int],
+        after: dict[CostCategory, int],
+        n_peers: int,
+    ) -> "CostBreakdown":
+        """Per-peer averages of what was charged between two
+        :meth:`CostAccounting.bytes_by_category` snapshots — the cost of
+        one protocol run on a network that carries other traffic too."""
 
         def avg(category: CostCategory) -> float:
-            return accounting.average_bytes_per_peer(n_peers, (category,))
+            return (after.get(category, 0) - before.get(category, 0)) / n_peers
 
         return cls(
             filtering=avg(CostCategory.FILTERING),

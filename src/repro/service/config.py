@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.session import backoff, check_retry_policy
 from repro.errors import ConfigurationError
 
 
@@ -64,18 +65,9 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"max_attempts must be at least 1, got {self.max_attempts}"
             )
-        if self.retry_backoff < 0:
-            raise ConfigurationError(
-                f"retry_backoff must be non-negative, got {self.retry_backoff}"
-            )
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"backoff_factor must be at least 1, got {self.backoff_factor}"
-            )
-        if not 0 < self.min_coverage <= 1.0:
-            raise ConfigurationError(
-                f"min_coverage must be in (0, 1], got {self.min_coverage}"
-            )
+        check_retry_policy(
+            "retry_backoff", self.retry_backoff, self.backoff_factor, self.min_coverage
+        )
         if self.max_staleness < 1:
             raise ConfigurationError(
                 f"max_staleness must be at least 1 epoch, got {self.max_staleness}"
@@ -86,5 +78,6 @@ class ServiceConfig:
             )
 
     def delay_for(self, attempt: int) -> float:
-        """Settle delay before retry number ``attempt`` (1-based)."""
-        return self.retry_backoff * self.backoff_factor ** (attempt - 1)
+        """Settle delay before retry number ``attempt`` (1-based); the
+        epoch deadline, not a cap, bounds the schedule."""
+        return backoff(self.retry_backoff, self.backoff_factor, attempt)

@@ -2,15 +2,16 @@
 
 :class:`MonitorService` supervises a :class:`ContinuousNetFilter` as a
 long-lived query.  Each scheduled epoch it opens an
-:class:`~repro.core.continuous.EpochAttempt` and drives the three
-convergecasts under a per-epoch deadline; an attempt that loses its root,
-misses the deadline, falls below the coverage floor, or sees the live set
-change mid-flight is **abandoned** (nothing committed, no peer ledger
-advanced) and retried after a settle backoff.  An epoch whose deadline
-expires with no committed attempt ends **degraded**: the root keeps
-serving the newest committed result, flagged with an honest
-``staleness_epochs`` bound — the service never blocks and never fabricates
-a fresh answer it did not compute.
+:class:`~repro.core.continuous.EpochAttempt` and runs it
+(:func:`repro.core.session.run_attempt` under
+:func:`~repro.core.session.supervise`) with a per-epoch deadline; an
+attempt that loses its root, misses the deadline, falls below the
+coverage floor, or sees the live set change mid-flight is **abandoned**
+(nothing committed, no peer ledger advanced) and retried after a settle
+backoff.  An epoch whose deadline expires with no committed attempt ends
+**degraded**: the root keeps serving the newest committed result, flagged
+with an honest ``staleness_epochs`` bound — the service never blocks and
+never fabricates a fresh answer it did not compute.
 
 After ``rebaseline_after`` consecutive degraded epochs the next attempt
 escalates to a dense re-baseline, re-anchoring the root's group vector to
@@ -28,13 +29,10 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.continuous import LEGACY_DENSE, ContinuousNetFilter, EpochReport
-from repro.core.netfilter import NetFilterResult, totals_spec
-from repro.core.verification import HeavyGroups
+from repro.core.continuous import ContinuousNetFilter, EpochReport
+from repro.core.session import ROOT_DEAD, run_attempt, supervise
 from repro.items.itemset import LocalItemSet
-from repro.metrics.breakdown import CostBreakdown
 from repro.net.message import Message
-from repro.net.wire import CostCategory
 from repro.service.answer import EpochOutcome, MonitorAnswer
 from repro.service.config import ServiceConfig
 from repro.service.payloads import MonitorAnswerPayload, MonitorQueryPayload
@@ -167,31 +165,20 @@ class MonitorService:
         telemetry = self.sim.telemetry
         deadline_at = self.sim.now + cfg.deadline
         self.current_epoch = max(self.current_epoch, epoch)
-        attempts = 0
-        report: EpochReport | None = None
-        reason = "deadline"
+
+        def abandoned(attempts: int, reason: str) -> None:
+            telemetry.registry.counter("service.abandons").inc()
+            telemetry.emit("service.abandon", epoch=epoch, attempt=attempts, reason=reason)
+
         with telemetry.span("service.epoch", epoch=epoch) as span:
-            while report is None and attempts < cfg.max_attempts:
-                if attempts and self.sim.now >= deadline_at:
-                    break
-                attempts += 1
-                force_dense = self._consecutive_degraded >= cfg.rebaseline_after
-                report, reason = self._attempt_epoch(epoch, deadline_at, force_dense)
-                if report is None:
-                    telemetry.registry.counter("service.abandons").inc()
-                    telemetry.emit(
-                        "service.abandon",
-                        epoch=epoch,
-                        attempt=attempts,
-                        reason=reason,
-                    )
-                    if attempts < cfg.max_attempts:
-                        settle = min(
-                            cfg.delay_for(attempts),
-                            max(deadline_at - self.sim.now, 0.0),
-                        )
-                        if settle > 0:
-                            self.sim.run(until=self.sim.now + settle)
+            report, reason, attempts = supervise(
+                self.sim,
+                lambda: self._commit_or_abandon(epoch, deadline_at),
+                max_attempts=cfg.max_attempts,
+                deadline=deadline_at,
+                delay=cfg.delay_for,
+                on_failure=abandoned,
+            )
             span["committed"] = report is not None
             span["attempts"] = attempts
         return self._conclude(epoch, report, attempts, reason)
@@ -213,7 +200,6 @@ class MonitorService:
                 changed_groups=report.changed_groups,
                 resyncs=report.resyncs,
             )
-            reason = ""
         else:
             self._consecutive_degraded += 1
             telemetry.registry.counter("service.degraded_epochs").inc()
@@ -249,109 +235,35 @@ class MonitorService:
     # ------------------------------------------------------------------
     # One attempt
     # ------------------------------------------------------------------
-    def _attempt_epoch(
-        self, epoch: int, deadline_at: float, force_dense: bool
+    def _commit_or_abandon(
+        self, epoch: int, deadline_at: float
     ) -> tuple[EpochReport | None, str]:
-        monitor = self.monitor
-        engine = self.engine
+        """One two-phase-committed attempt: everything staged for it is
+        committed only if :func:`~repro.core.session.run_attempt` says the
+        result counts, and abandoned (nothing moved) otherwise."""
         network = self.network
-        cfg = self.config
-        if not network.node(engine.hierarchy.root).alive:
-            return None, "root_dead"
+        if not network.node(self.engine.hierarchy.root).alive:
+            return None, ROOT_DEAD
         live_at_start = tuple(network.live_peers())
-        accounting = network.accounting
-        model = network.size_model
-        before = accounting.bytes_by_category()
-        started_at = self.sim.now
-        attempt = monitor.begin_attempt(epoch=epoch, force_dense=force_dense)
-        telemetry = self.sim.telemetry
-        with telemetry.span("service.attempt", epoch=epoch, mode=attempt.mode) as span:
-            handles = []
-            grand_total: float | None = None
-            n_participants = 0
-            if monitor.decay is None:
-                totals = self._run_phase(totals_spec(), None, deadline_at)
-                if totals is None or totals.failed:
-                    attempt.abandon()
-                    return None, "deadline" if totals is None else "root_lost"
-                handles.append(totals)
-                grand_total, n_participants = totals.value
-            anchor = None if attempt.mode == LEGACY_DENSE else attempt.anchor
-            phase1 = self._run_phase(attempt.phase1_spec(), anchor, deadline_at)
-            if phase1 is None or phase1.failed:
-                attempt.abandon()
-                return None, "deadline" if phase1 is None else "root_lost"
-            handles.append(phase1)
-            preview = attempt.fold(phase1.value, grand_total=grand_total)
-            if monitor.decay is not None:
-                n_participants = phase1.covered
-            heavy = HeavyGroups.from_aggregate(
-                monitor.bank, preview.group_totals, preview.threshold
+        force_dense = self._consecutive_degraded >= self.config.rebaseline_after
+        attempt = self.monitor.begin_attempt(epoch=epoch, force_dense=force_dense)
+        with self.sim.telemetry.span(
+            "service.attempt", epoch=epoch, mode=attempt.mode
+        ) as span:
+            result, reason = run_attempt(
+                self.engine,
+                attempt.plan(),
+                deadline=deadline_at,
+                min_coverage=self.config.min_coverage,
+                stable_over=live_at_start,
             )
-            verify = self._run_phase(attempt.verification_spec(), heavy, deadline_at)
-            if verify is None or verify.failed:
+            if reason:
                 attempt.abandon()
-                return None, "deadline" if verify is None else "root_lost"
-            handles.append(verify)
-            if tuple(network.live_peers()) != live_at_start:
-                attempt.abandon()
-                return None, "membership_changed"
-            coverage = min(handle.coverage for handle in handles)
-            complete = all(handle.complete for handle in handles)
-            gated = not complete if cfg.min_coverage >= 1.0 else coverage < cfg.min_coverage
-            if gated:
-                attempt.abandon()
-                return None, "coverage"
-            span["coverage"] = coverage
-
-            candidates: LocalItemSet = verify.value
-            frequent = candidates.filter_values(preview.threshold)
-            after = accounting.bytes_by_category()
-            population = network.n_peers
-            diff = {
-                category: after.get(category, 0) - before.get(category, 0)
-                for category in sorted(set(before) | set(after))
-            }
-            breakdown = CostBreakdown(
-                filtering=diff.get(CostCategory.FILTERING, 0) / population,
-                dissemination=diff.get(CostCategory.DISSEMINATION, 0) / population,
-                aggregation=diff.get(CostCategory.AGGREGATION, 0) / population,
-                control=diff.get(CostCategory.CONTROL, 0) / population,
-            )
-            result = NetFilterResult(
-                frequent=frequent,
-                candidates=candidates,
-                heavy_groups=heavy,
-                threshold=preview.threshold,
-                grand_total=int(preview.grand_total),
-                n_participants=int(n_participants),
-                breakdown=breakdown,
-                avg_candidates_per_peer=(
-                    diff.get(CostCategory.AGGREGATION, 0)
-                    / model.pair_bytes
-                    / population
-                ),
-                config=monitor.config,
-                elapsed_time=self.sim.now - started_at,
-                coverage=coverage,
-                complete=complete,
-            )
+                return None, reason
+            span["coverage"] = result.coverage
             report = attempt.commit(result, live_at_start)
-            span["frequent"] = len(frequent)
+            span["frequent"] = len(result.frequent)
         return report, ""
-
-    def _run_phase(self, spec, request_data, deadline_at):  # type: ignore[no-untyped-def]
-        """One phase under the epoch deadline.  Returns ``None`` when the
-        deadline expired with the session still in flight (the caller
-        abandons the attempt); a failed handle means the root was lost."""
-        engine = self.engine
-        if not self.network.node(engine.hierarchy.root).alive:
-            return engine.dead_root_session(spec)
-        handle = engine.start(spec, request_data)
-        engine.drive_session(handle, deadline=deadline_at)
-        if not handle.done:
-            return None
-        return handle
 
     # ------------------------------------------------------------------
     # Wire serving

@@ -60,20 +60,7 @@ class VecNetFilter:
         if not bool(table.alive[table.root]):
             # Mirror the scalar engine's honest answer for a dead root:
             # empty, complete=False, zero coverage, nothing charged.
-            return NetFilterResult(
-                frequent=LocalItemSet.empty(),
-                candidates=LocalItemSet.empty(),
-                heavy_groups=HeavyGroups(per_filter=()),
-                threshold=0,
-                grand_total=0,
-                n_participants=0,
-                breakdown=CostBreakdown(),
-                avg_candidates_per_peer=0.0,
-                config=self.config,
-                elapsed_time=0.0,
-                coverage=0.0,
-                complete=False,
-            )
+            return NetFilterResult.aborted(self.config, CostBreakdown(), 0.0)
 
         reach = table.reachable_mask()
         n_reached = int(np.count_nonzero(reach))

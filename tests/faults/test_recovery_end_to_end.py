@@ -110,3 +110,45 @@ def test_faulted_run_replays_bit_for_bit(tmp_path):
             assert "request.reissued" in kinds
         else:
             assert "aggregation.incomplete" in kinds
+
+
+def test_reissues_count_a_discarded_whole_query_retry():
+    """Regression: when the whole-query re-issue comes back with *lower*
+    coverage the earlier result is kept — but the network still carried
+    the retry, so ``reissues`` must count it."""
+    from repro.faults import PartitionLinks
+
+    sim = Simulation(seed=11)
+    network = Network(sim, Topology.star(5))
+    network.assign_items(
+        {peer: LocalItemSet.from_pairs(pairs) for peer, pairs in ITEMS.items()}
+    )
+    engine = AggregationEngine(
+        Hierarchy.build(network, root=0), child_timeout=10.0, hardened=True
+    )
+    now = sim.now
+    # Leaf 4 is cut off throughout (coverage 4/5); from t+1000 — inside
+    # the 1000-long settle before the whole-query retry — leaf 3 is too
+    # (coverage 3/5), so the retry is strictly worse and discarded.
+    scenario = FaultScenario(
+        name="worse-on-retry",
+        actions=(
+            PartitionLinks(links=((0, 4),), start=now, duration=1e9),
+            PartitionLinks(links=((0, 3),), start=now + 1000.0, duration=1e9),
+        ),
+    )
+    FaultInjector(network, scenario).install()
+    result = NetFilter(
+        CONFIG,
+        recovery=RecoveryPolicy(
+            max_phase_reissues=0,
+            max_query_reissues=1,
+            reissue_delay=1000.0,
+            reissue_delay_cap=1000.0,
+        ),
+    ).run(engine)
+    assert sim.now > now + 1000.0  # the retry ran under the second cut
+    assert sim.trace.counters["request.reissued"] == 1
+    assert not result.complete
+    assert result.coverage == 0.8  # the first, better-covered result was kept
+    assert result.reissues == 1  # ... and still owns the retry it cost

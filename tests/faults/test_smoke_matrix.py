@@ -27,6 +27,7 @@ import pytest
 from repro.aggregation.hierarchical import AggregationEngine
 from repro.core.config import NetFilterConfig
 from repro.core.netfilter import NetFilter
+from repro.core.oracle import oracle_frequent_items
 from repro.core.recovery import RecoveryPolicy
 from repro.faults import (
     BurstLoss,
@@ -243,3 +244,207 @@ def test_frontdoor_overload_replays_identically(seed, tmp_path):
     assert "frontdoor.session" in kinds
     assert "frontdoor.reject" in kinds
     assert "fault.injected" in kinds
+
+
+# ----------------------------------------------------------------------
+# One contract, three front ends
+# ----------------------------------------------------------------------
+# NetFilter+RecoveryPolicy, MonitorService and FrontDoor all run
+# repro.core.session's one attempt under its one supervision loop, so the
+# same three faults must get the same treatment from each: an answer is
+# oracle-exact and complete or it is flagged, nothing commits below the
+# coverage floor, every failure is named from one vocabulary, and the run
+# replays byte-identically.  (No seed axis: the CI matrix selects the cells
+# above with ``-k "<scenario> and seed<N>"`` and must not pick these up.)
+
+CONTRACT_FILTER = NetFilterConfig(filter_size=40, num_filters=2, threshold_ratio=0.01)
+#: Shorter than one convergecast (a round trip over a tree of depth >= 2
+#: at latency 1.0), so every deadline-bound attempt misses it.
+TIGHT_DEADLINE = 2.0
+
+
+def contract_scenario(kind: str, hierarchy: Hierarchy, now: float) -> FaultScenario | None:
+    from repro.net.wire import CostCategory
+
+    if kind == "rootcrash":
+        # The root dies on the first phase-1 reply and is back 60 later.
+        return FaultScenario(
+            name="contract-rootcrash",
+            actions=(
+                CrashPeer(peer=0, on_match=MessageMatch(category=CostCategory.FILTERING)),
+                RevivePeer(peer=0, at=now + 60.0),
+            ),
+        )
+    if kind == "partition":
+        # A whole subtree is cut off for good: its peers stay alive (and
+        # expected), so no session can ever cover the live population.
+        child = sorted(hierarchy.children_of(0))[0]
+        return FaultScenario(
+            name="contract-partition",
+            actions=(PartitionLinks(links=((0, child),), start=now, duration=1e9),),
+        )
+    assert kind == "deadline"
+    return None
+
+
+def run_contract(front_end: str, kind: str, trace_path: str) -> list[dict]:
+    """Drive one front end through one fault; returns one verdict per
+    answer it gave: ``committed`` (for NetFilter: flagged ``complete``),
+    ``reason``, ``coverage``, and the ``items``/``threshold`` to check
+    against the oracle."""
+    from repro.core.continuous import ContinuousNetFilter
+    from repro.frontdoor import COMMITTED, FrontDoor, FrontDoorConfig
+    from repro.service import MonitorService, ServiceConfig
+
+    sim = Simulation(seed=7)
+    sim.telemetry.attach_jsonl(trace_path)
+    topology = Topology.random_connected(16, 4.0, sim.rng.stream("topology"))
+    network = Network(
+        sim,
+        topology,
+        transport_config=TransportConfig(latency=1.0, latency_jitter=0.3),
+        reliability=ReliabilityConfig(),
+    )
+    workload = Workload.zipf(
+        n_items=400, n_peers=16, skew=1.0, rng=sim.rng.stream("workload")
+    )
+    network.assign_items(workload.item_sets)
+    hierarchy = Hierarchy.build(network, root=0)
+    engine = AggregationEngine(hierarchy, child_timeout=6.0, hardened=True)
+    scenario = contract_scenario(kind, hierarchy, sim.now)
+    if scenario is not None:
+        FaultInjector(network, scenario).install()
+    deadline = TIGHT_DEADLINE if kind == "deadline" else 100.0
+    verdicts: list[dict] = []
+    if front_end == "netfilter":
+        # A one-shot query has no deadline; it flags instead of failing.
+        result = NetFilter(
+            CONTRACT_FILTER, recovery=RecoveryPolicy(reissue_delay=40.0)
+        ).run(engine)
+        verdicts.append(
+            {
+                "committed": result.complete,
+                "reason": "",
+                "coverage": result.coverage,
+                "items": result.frequent,
+                "threshold": result.threshold,
+            }
+        )
+    elif front_end == "monitor":
+        service = MonitorService(
+            ContinuousNetFilter(CONTRACT_FILTER, engine),
+            ServiceConfig(epoch_interval=120.0, deadline=deadline, retry_backoff=10.0),
+        )
+        for outcome in service.run(epochs=3):
+            result = outcome.report.result if outcome.report else None
+            verdicts.append(
+                {
+                    "committed": outcome.committed,
+                    "reason": outcome.reason,
+                    "coverage": result.coverage if result else 0.0,
+                    "items": result.frequent if result else None,
+                    "threshold": result.threshold if result else 0,
+                }
+            )
+    else:
+        assert front_end == "frontdoor"
+        door = FrontDoor(
+            engine,
+            CONTRACT_FILTER,
+            FrontDoorConfig(
+                round_interval=30.0, session_deadline=min(deadline, 25.0), client_timeout=200.0
+            ),
+        )
+        ids = []
+        for requester in (3, 5, 7):
+            ids.append(door.submit("acme", requester, 0.01, 0))
+            door.run(sim.now + door.config.round_interval)
+        door.drain()
+        for request_id in ids:
+            record = door.outcome(request_id)
+            verdicts.append(
+                {
+                    "committed": record.status == COMMITTED,
+                    "reason": record.reason,
+                    "coverage": 1.0 if record.status == COMMITTED else 0.0,
+                    "items": record.items,
+                    "threshold": record.threshold,
+                }
+            )
+    # The oracle is read while the trace is still open: every verdict's
+    # items are checked against the live population as it stands now.
+    for verdict in verdicts:
+        verdict["truth"] = (
+            oracle_frequent_items(network, verdict["threshold"])
+            if verdict["committed"]
+            else None
+        )
+    sim.telemetry.close()
+    return verdicts
+
+
+@pytest.mark.parametrize("front_end", ["netfilter", "monitor", "frontdoor"])
+@pytest.mark.parametrize("kind", ["rootcrash", "deadline", "partition"])
+def test_front_ends_share_one_failure_contract(kind, front_end, tmp_path):
+    from repro.core import session
+
+    first_path = str(tmp_path / "first.jsonl")
+    second_path = str(tmp_path / "second.jsonl")
+    verdicts = run_contract(front_end, kind, first_path)
+    replay = run_contract(front_end, kind, second_path)
+
+    # One reason vocabulary (plus the front door's own client-side
+    # verdicts, which never come from a session).
+    reasons = {
+        session.ROOT_DEAD,
+        session.DEADLINE,
+        session.ROOT_LOST,
+        session.MEMBERSHIP_CHANGED,
+        session.COVERAGE,
+    }
+    if front_end == "frontdoor":
+        reasons |= {"timeout", "breaker_open"}
+    assert verdicts
+    for verdict in verdicts:
+        if verdict["committed"]:
+            # Nothing commits below the floor, and what commits is exact.
+            assert verdict["reason"] == ""
+            assert verdict["coverage"] == 1.0
+            assert verdict["items"] == verdict["truth"]
+        elif front_end != "netfilter":
+            assert verdict["reason"] in reasons
+
+    # The fault decided the outcome it should have.
+    committed = [verdict["committed"] for verdict in verdicts]
+    if kind == "partition" or (kind == "deadline" and front_end != "netfilter"):
+        assert not any(committed)
+    else:
+        assert any(committed)  # recovered after the revive / no deadline to miss
+    if front_end == "monitor" and kind != "rootcrash":
+        # Too slow fails on the deadline; finished-but-short on the gate.
+        expected = session.DEADLINE if kind == "deadline" else session.COVERAGE
+        assert {verdict["reason"] for verdict in verdicts} == {expected}
+
+    # Trace-level evidence for the front door, whose records carry no
+    # coverage: a session that committed ran three fully covered phases.
+    a = strip_wall_clock(read_trace(first_path))
+    completes: list[dict] = []
+    for record in a:
+        if record["kind"] == "aggregation.complete":
+            completes.append(record)
+        elif record["kind"] in ("frontdoor.session_retry", "service.abandon"):
+            assert record["reason"] in reasons
+        elif (
+            record["kind"] == "frontdoor.session"
+            and record.get("ev") == "end"
+            and record["committed"]
+        ):
+            assert all(c["covered"] >= c["expected"] for c in completes[-3:])
+
+    # Same seed, same bytes.
+    assert [v["items"] for v in verdicts] == [v["items"] for v in replay]
+    for verdict, again in zip(verdicts, replay):
+        for key in ("committed", "reason", "coverage", "threshold"):
+            assert verdict[key] == again[key]
+    b = strip_wall_clock(read_trace(second_path))
+    assert a == b
