@@ -8,6 +8,7 @@ construction and one full protocol round-trip.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.core.config import NetFilterConfig
 from repro.core.filters import FilterBank
@@ -36,17 +37,23 @@ def test_itemset_merge_many(benchmark):
     assert merged.total_value == sum(s.total_value for s in sets)
 
 
-def test_filter_bank_group_aggregates(benchmark):
+# Per-peer sizes first: k = 25 and k = 1,000 are what one peer holds on the
+# ``scalar_wide`` / ``scalar_paper`` workloads, where the event engine calls
+# the bank once per peer per phase; the larger cells are batch-sized.
+@pytest.mark.parametrize("size", [25, 1_000, 10_000])
+def test_filter_bank_group_aggregates(benchmark, size):
     bank = FilterBank(num_filters=3, filter_size=100, hash_seed=0)
-    items = make_item_sets(count=1, size=10_000, universe=1_000_000)[0]
+    items = make_item_sets(count=1, size=size, universe=1_000_000)[0]
     vector = benchmark(bank.local_group_aggregates, items)
     assert vector.shape == (300,)
+    assert int(vector.sum()) == 3 * items.total_value
 
 
-def test_candidate_mask(benchmark):
+@pytest.mark.parametrize("size", [25, 1_000, 100_000])
+def test_candidate_mask(benchmark, size):
     bank = FilterBank(num_filters=3, filter_size=100, hash_seed=0)
-    ids = np.arange(100_000, dtype=np.int64)
-    heavy = [np.arange(10) for _ in range(3)]
+    ids = np.arange(size, dtype=np.int64)
+    heavy = bank.heavy_lookup([np.arange(10) for _ in range(3)])
     mask = benchmark(bank.candidate_mask, ids, heavy)
     assert mask.shape == ids.shape
 

@@ -216,13 +216,11 @@ def _integer_diff(current: LocalItemSet, base: LocalItemSet) -> LocalItemSet:
 
 def _faded_group_vector(bank: FilterBank, faded: FadedItemSet) -> np.ndarray:
     """The flat ``f·g`` group projection of a faded item set (float64)."""
-    if len(faded) == 0:
-        return np.zeros(bank.total_groups, dtype=np.float64)
-    parts = []
-    for filt in bank.filters:
-        groups = filt.group_of(faded.ids)
-        parts.append(np.bincount(groups, weights=faded.values, minlength=filt.n_groups))
-    return np.concatenate(parts)
+    return np.bincount(
+        bank.flat_groups(faded.ids).ravel(),
+        weights=np.tile(faded.values, bank.num_filters),
+        minlength=bank.total_groups,
+    )
 
 
 class EpochAttempt:

@@ -19,27 +19,57 @@ vectorizable.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.items.itemset import LocalItemSet
 
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MUL_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL_2 = np.uint64(0x94D049BB133111EB)
+_SHIFT_1, _SHIFT_2, _SHIFT_3 = np.uint64(30), np.uint64(27), np.uint64(31)
+
 
 def splitmix64(values: np.ndarray) -> np.ndarray:
     """The splitmix64 finalizer: a bijective full-avalanche 64-bit mixer.
 
-    Vectorized over a ``uint64`` array; wraparound arithmetic is the
-    intended behaviour.
+    Vectorized over a ``uint64`` array of one or more dimensions, whose
+    arithmetic wraps silently — the intended behaviour.
     """
-    z = values.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        z = (z + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
+    z = values.astype(np.uint64, copy=False) + _GOLDEN
+    z ^= z >> _SHIFT_1
+    z *= _MUL_1
+    z ^= z >> _SHIFT_2
+    z *= _MUL_2
+    z ^= z >> _SHIFT_3
     return z
+
+
+#: Ids hashed per pass of the kernel: the ``(f, block)`` temporaries of the
+#: mix stay cache-resident, so neither the cost per id nor the scratch
+#: memory grows with ``k``.
+_BLOCK = 8192
+
+
+def salted_groups(
+    item_ids: np.ndarray, salts: np.ndarray | np.uint64, n_groups: int
+) -> np.ndarray:
+    """``h_s(x) = mix64(x XOR s) mod n_groups`` for every salt ``s``.
+
+    The one hash kernel.  ``salts`` (``uint64``) is a 0-d salt — the
+    single-filter case, giving shape ``(k,)`` — or a column of shape
+    ``(f, 1)``, which hashes the ``k`` ids under ``f`` filters as one
+    ``(f, k)`` block.  Returns ``int64`` groups in ``[0, n_groups)``.
+    """
+    ids = np.asarray(item_ids, dtype=np.int64).view(np.uint64)
+    modulus = np.uint64(n_groups)
+    groups = np.empty(salts.shape[:-1] + ids.shape, dtype=np.uint64)
+    for start in range(0, ids.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        np.remainder(splitmix64(ids[block] ^ salts), modulus, out=groups[..., block])
+    return groups.view(np.int64)
 
 
 class HashFilter:
@@ -62,20 +92,14 @@ class HashFilter:
 
     def group_of(self, item_ids: np.ndarray) -> np.ndarray:
         """Vectorized ``h(x)`` — the group id of each item."""
-        item_ids = np.asarray(item_ids, dtype=np.int64)
-        mixed = splitmix64(item_ids.astype(np.uint64) ^ np.uint64(self.salt))
-        return (mixed % np.uint64(self.n_groups)).astype(np.int64)
+        return salted_groups(item_ids, np.uint64(self.salt), self.n_groups)
 
     def local_group_values(self, item_set: LocalItemSet) -> np.ndarray:
         """A peer's local aggregate per item group: each local item's value
         is added to the group the item hashes to (Section III-B.1)."""
-        if len(item_set) == 0:
-            return np.zeros(self.n_groups, dtype=np.int64)
-        groups = self.group_of(item_set.ids)
-        summed = np.bincount(
-            groups, weights=item_set.values.astype(np.float64), minlength=self.n_groups
-        )
-        return summed.astype(np.int64)
+        summed = np.zeros(self.n_groups, dtype=np.int64)
+        np.add.at(summed, self.group_of(item_set.ids), item_set.values)
+        return summed
 
 
 class FilterBank:
@@ -84,7 +108,8 @@ class FilterBank:
     The bank turns a peer's local item set into one flat ``f·g`` vector of
     local group values (the phase-1 contribution, costing ``s_a · f · g``
     bytes per peer on the wire) and, given the heavy groups, decides which
-    local items remain candidates.
+    local items remain candidates.  Both hash the peer's ids once, through
+    all ``f`` filters at a time (:meth:`flat_groups`).
 
     Examples
     --------
@@ -107,21 +132,31 @@ class FilterBank:
             HashFilter(filter_size, salt=int(rng.integers(0, 1 << 63)))
             for _ in range(num_filters)
         ]
+        self._salts = np.array([f.salt for f in self.filters], dtype=np.uint64)[:, None]
+        self._offsets = (np.arange(num_filters, dtype=np.int64) * filter_size)[:, None]
 
     @property
     def total_groups(self) -> int:
         """``f · g`` — the length of the phase-1 aggregate vector."""
         return self.num_filters * self.filter_size
 
+    def flat_groups(self, item_ids: np.ndarray) -> np.ndarray:
+        """Shape ``(f, k)``: row ``i`` holds ``i·g + h_i(x)`` per item —
+        each item's position in the flat ``f·g`` vector under filter i."""
+        flat = salted_groups(item_ids, self._salts, self.filter_size)
+        flat += self._offsets
+        return flat
+
     # ------------------------------------------------------------------
     # Phase 1: group aggregates
     # ------------------------------------------------------------------
     def local_group_aggregates(self, item_set: LocalItemSet) -> np.ndarray:
         """A peer's phase-1 contribution: the ``f`` per-filter group-value
-        vectors, concatenated into one flat ``f·g`` vector."""
-        return np.concatenate(
-            [f.local_group_values(item_set) for f in self.filters]
-        )
+        vectors, concatenated into one flat ``f·g`` vector (exact int64)."""
+        flat = np.zeros(self.total_groups, dtype=np.int64)
+        for positions in self.flat_groups(item_set.ids):
+            np.add.at(flat, positions, item_set.values)
+        return flat
 
     def split_aggregate(self, flat: np.ndarray) -> list[np.ndarray]:
         """Split a flat ``f·g`` aggregate back into per-filter vectors."""
@@ -148,26 +183,30 @@ class FilterBank:
     # ------------------------------------------------------------------
     # Phase 2: candidate decision
     # ------------------------------------------------------------------
-    def candidate_mask(
-        self, item_ids: np.ndarray, heavy_groups: list[np.ndarray]
-    ) -> np.ndarray:
-        """Which of ``item_ids`` survive all ``f`` filters.
-
-        An item is a candidate iff, for every filter, the group it hashes
-        to is heavy (Section III-B.2: Item x survives, Item y is pruned).
-        """
+    def heavy_lookup(self, heavy_groups: Sequence[np.ndarray]) -> np.ndarray:
+        """The flat ``f·g`` boolean marking each filter's heavy groups."""
         if len(heavy_groups) != self.num_filters:
             raise ConfigurationError(
                 f"expected {self.num_filters} heavy-group arrays, "
                 f"got {len(heavy_groups)}"
             )
-        item_ids = np.asarray(item_ids, dtype=np.int64)
-        mask = np.ones(item_ids.shape, dtype=bool)
-        for hash_filter, heavy in zip(self.filters, heavy_groups):
-            if not mask.any():
-                break
-            groups = hash_filter.group_of(item_ids)
-            heavy_lookup = np.zeros(hash_filter.n_groups, dtype=bool)
-            heavy_lookup[np.asarray(heavy, dtype=np.int64)] = True
-            mask &= heavy_lookup[groups]
+        lookup = np.zeros((self.num_filters, self.filter_size), dtype=bool)
+        for row, heavy in zip(lookup, heavy_groups):
+            row[np.asarray(heavy, dtype=np.int64)] = True
+        return lookup.reshape(-1)
+
+    def candidate_mask(
+        self, item_ids: np.ndarray, heavy_groups: np.ndarray | Sequence[np.ndarray]
+    ) -> np.ndarray:
+        """Which of ``item_ids`` survive all ``f`` filters.
+
+        An item is a candidate iff, for every filter, the group it hashes
+        to is heavy (Section III-B.2: Item x survives, Item y is pruned).
+        ``heavy_groups`` is the flat :meth:`heavy_lookup` boolean (what
+        ``HeavyGroups.lookup`` keeps), or the per-filter heavy group ids
+        it is built from.
+        """
+        if not isinstance(heavy_groups, np.ndarray):
+            heavy_groups = self.heavy_lookup(heavy_groups)
+        mask: np.ndarray = heavy_groups[self.flat_groups(item_ids)].all(axis=0)
         return mask

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from repro.core.filters import splitmix64
+from repro.core.filters import salted_groups
 from repro.errors import ConfigurationError
 from repro.items.itemset import LocalItemSet
 from repro.net.wire import SizeModel
@@ -52,7 +52,8 @@ class CountMinSketch:
         self.depth = depth
         self.seed = seed
         rng = np.random.default_rng(seed)
-        self._salts = rng.integers(0, 1 << 63, size=depth, dtype=np.int64)
+        salts = rng.integers(0, 1 << 63, size=depth, dtype=np.int64)
+        self._salts = salts.astype(np.uint64)[:, None]
         self.counts = np.zeros((depth, width), dtype=np.int64)
 
     @classmethod
@@ -72,37 +73,21 @@ class CountMinSketch:
     # ------------------------------------------------------------------
     def _row_positions(self, item_ids: np.ndarray) -> np.ndarray:
         """Shape (depth, len(ids)): the counter index per row per item."""
-        item_ids = np.asarray(item_ids, dtype=np.int64).astype(np.uint64)
-        positions = np.empty((self.depth, item_ids.size), dtype=np.int64)
-        for row, salt in enumerate(self._salts):
-            mixed = splitmix64(item_ids ^ np.uint64(salt))
-            positions[row] = (mixed % np.uint64(self.width)).astype(np.int64)
-        return positions
+        return salted_groups(item_ids, self._salts, self.width)
 
     # ------------------------------------------------------------------
     # Updates and queries
     # ------------------------------------------------------------------
     def add(self, item_set: LocalItemSet) -> None:
-        """Fold a local item set into the sketch."""
-        if len(item_set) == 0:
-            return
-        positions = self._row_positions(item_set.ids)
-        weights = item_set.values.astype(np.float64)
-        for row in range(self.depth):
-            self.counts[row] += np.bincount(
-                positions[row], weights=weights, minlength=self.width
-            ).astype(np.int64)
+        """Fold a local item set into the sketch (exact int64)."""
+        for row, positions in zip(self.counts, self._row_positions(item_set.ids)):
+            np.add.at(row, positions, item_set.values)
 
     def estimate(self, item_ids: np.ndarray) -> np.ndarray:
         """Upper-bound estimates (min over rows) for the given ids."""
-        item_ids = np.asarray(item_ids, dtype=np.int64)
-        if item_ids.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        positions = self._row_positions(item_ids)
-        per_row = np.stack(
-            [self.counts[row][positions[row]] for row in range(self.depth)]
-        )
-        return per_row.min(axis=0)
+        per_row = np.take_along_axis(self.counts, self._row_positions(item_ids), axis=1)
+        estimates: np.ndarray = per_row.min(axis=0)
+        return estimates
 
     # ------------------------------------------------------------------
     # Linearity (what makes hierarchical aggregation work)

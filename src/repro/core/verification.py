@@ -14,7 +14,7 @@ lists, which know their wire size: ``s_g`` per identifier) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,9 +31,19 @@ class HeavyGroups:
     ----------
     per_filter:
         ``per_filter[i]`` is the array of heavy group ids under filter i.
+    total_count:
+        Total heavy-group identifiers across filters — the paper's
+        ``f · w`` (Section IV-A prices dissemination at ``s_g · f · w``).
     """
 
     per_filter: tuple[np.ndarray, ...]
+    total_count: int = field(init=False)
+    _lookup: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "total_count", sum(int(groups.size) for groups in self.per_filter)
+        )
 
     @classmethod
     def from_aggregate(
@@ -41,16 +51,19 @@ class HeavyGroups:
     ) -> "HeavyGroups":
         """Extract heavy groups from the phase-1 aggregate vector."""
         return cls(
-            per_filter=tuple(
-                bank.heavy_groups_per_filter(flat_aggregate, threshold)
-            )
+            per_filter=tuple(bank.heavy_groups_per_filter(flat_aggregate, threshold)),
+            _lookup=np.asarray(flat_aggregate) >= threshold,
         )
 
-    @property
-    def total_count(self) -> int:
-        """Total heavy-group identifiers across filters — the paper's
-        ``f · w`` (Section IV-A prices dissemination at ``s_g · f · w``)."""
-        return int(sum(groups.size for groups in self.per_filter))
+    def lookup(self, bank: FilterBank) -> np.ndarray:
+        """The flat ``f·g`` heavy-group boolean ``bank.candidate_mask``
+        gathers from, built once and shared by every peer that receives
+        these heavy groups."""
+        lookup = self._lookup
+        if lookup is None:
+            lookup = bank.heavy_lookup(self.per_filter)
+            object.__setattr__(self, "_lookup", lookup)
+        return lookup
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -78,5 +91,5 @@ def materialize_candidates(
     """
     if len(item_set) == 0 or heavy.is_empty():
         return LocalItemSet.empty()
-    mask = bank.candidate_mask(item_set.ids, list(heavy.per_filter))
+    mask = bank.candidate_mask(item_set.ids, heavy.lookup(bank))
     return item_set.select(mask)

@@ -152,7 +152,7 @@ def candidate_rows(
     values = table.item_values[flat]
     peers = table.flat_peer_ids()[flat]
     distinct, inverse = np.unique(ids, return_inverse=True)
-    distinct_mask = bank.candidate_mask(distinct, list(heavy.per_filter))
+    distinct_mask = bank.candidate_mask(distinct, heavy.lookup(bank))
     keep = distinct_mask[inverse]
     universe = distinct[distinct_mask]
     # Re-rank the surviving ids densely: positions of kept distinct ids.

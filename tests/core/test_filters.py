@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import filters
 from repro.core.filters import FilterBank, HashFilter, splitmix64
 from repro.errors import ConfigurationError
 from repro.items.itemset import LocalItemSet
@@ -142,3 +143,110 @@ class TestProperties:
         flat = bank.local_group_aggregates(items)
         for vector in bank.split_aggregate(flat):
             assert vector.sum() == items.total_value
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def reference_group(item_id: int, salt: int, n_groups: int) -> int:
+    """``mix64(x XOR salt) mod g`` in Python integers — the splitmix64
+    finalizer as published, independent of the numpy kernel."""
+    z = ((item_id ^ salt) + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return (z ^ (z >> 31)) % n_groups
+
+
+def per_filter_mask(bank: FilterBank, ids: np.ndarray, heavy: list[np.ndarray]) -> np.ndarray:
+    """The candidate decision as one lookup per filter, ANDed."""
+    mask = np.ones(ids.shape, dtype=bool)
+    for hash_filter, groups in zip(bank.filters, heavy):
+        mask &= np.isin(hash_filter.group_of(ids), groups)
+    return mask
+
+
+item_ids = st.sets(st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=60)
+bank_shapes = st.tuples(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=2**32),
+)
+
+
+class TestFusedKernel:
+    @given(item_ids, bank_shapes)
+    @settings(max_examples=60)
+    def test_rows_equal_per_filter_group_of(self, ids, shape):
+        num_filters, filter_size, seed = shape
+        bank = FilterBank(num_filters, filter_size, hash_seed=seed)
+        id_array = np.array(sorted(ids), dtype=np.int64)
+        flat = bank.flat_groups(id_array)
+        assert flat.shape == (num_filters, id_array.size)
+        assert flat.dtype == np.int64
+        for index, hash_filter in enumerate(bank.filters):
+            groups = hash_filter.group_of(id_array)
+            assert np.array_equal(flat[index], index * filter_size + groups)
+            assert groups.tolist() == [
+                reference_group(x & _MASK64, hash_filter.salt, filter_size)
+                for x in id_array.tolist()
+            ]
+
+    def test_blocking_does_not_change_groups(self, monkeypatch):
+        bank = FilterBank(3, 17, hash_seed=9)
+        ids = np.arange(-50, 50, dtype=np.int64) * 2**40
+        whole = bank.flat_groups(ids)
+        monkeypatch.setattr(filters, "_BLOCK", 7)
+        assert np.array_equal(bank.flat_groups(ids), whole)
+        assert np.array_equal(bank.filters[1].group_of(ids), whole[1] - 17)
+
+    @given(
+        st.dictionaries(
+            st.integers(-(2**63), 2**63 - 1), st.integers(0, 2**40), max_size=60
+        ),
+        bank_shapes,
+    )
+    @settings(max_examples=60)
+    def test_aggregates_conserve_mass_per_filter(self, pairs, shape):
+        bank = FilterBank(*shape)
+        items = LocalItemSet.from_pairs(pairs)
+        flat = bank.local_group_aggregates(items)
+        assert flat.dtype == np.int64
+        for hash_filter, vector in zip(bank.filters, bank.split_aggregate(flat)):
+            assert int(vector.sum()) == items.total_value
+            assert np.array_equal(vector, hash_filter.local_group_values(items))
+
+    def test_empty_set_aggregates_to_zeros(self):
+        bank = FilterBank(3, 5, hash_seed=1)
+        flat = bank.local_group_aggregates(LocalItemSet.empty())
+        assert flat.dtype == np.int64
+        assert flat.tolist() == [0] * 15
+        no_ids = np.empty(0, dtype=np.int64)
+        assert bank.candidate_mask(no_ids, [no_ids] * 3).shape == (0,)
+
+    def test_aggregates_are_exact_above_2_to_53(self):
+        # float64 weights would round 2**53 + 1 down and lose a unit of mass.
+        items = LocalItemSet.from_pairs({10: 2**53 + 1, 11: 2})
+        bank = FilterBank(2, 8, 3)
+        for vector in bank.split_aggregate(bank.local_group_aggregates(items)):
+            assert int(vector.sum()) == 2**53 + 3
+        assert int(bank.filters[0].local_group_values(items).sum()) == 2**53 + 3
+
+    @given(item_ids, bank_shapes, st.data())
+    @settings(max_examples=60)
+    def test_candidate_mask_equals_per_filter_and(self, ids, shape, data):
+        num_filters, filter_size, seed = shape
+        bank = FilterBank(num_filters, filter_size, hash_seed=seed)
+        id_array = np.array(sorted(ids), dtype=np.int64)
+        heavy_ids = st.sets(st.integers(0, filter_size - 1))
+        heavy = [
+            np.array(sorted(data.draw(heavy_ids)), dtype=np.int64)
+            for _ in range(num_filters)
+        ]
+        expected = per_filter_mask(bank, id_array, heavy)
+        assert np.array_equal(bank.candidate_mask(id_array, heavy), expected)
+        assert np.array_equal(bank.candidate_mask(id_array, bank.heavy_lookup(heavy)), expected)
+
+    def test_filter_without_heavy_group_prunes_everything(self):
+        bank = FilterBank(2, 4, hash_seed=1)
+        heavy = [np.arange(4), np.empty(0, dtype=np.int64)]
+        assert not bank.candidate_mask(np.arange(50), heavy).any()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import filters
 from repro.core.config import NetFilterConfig
 from repro.core.netfilter import NetFilter
 from repro.core.oracle import oracle_frequent_items
@@ -149,3 +150,20 @@ class TestEdgeCases:
     def test_result_str_mentions_counts(self, result):
         text = str(result)
         assert "frequent items" in text and "candidates" in text
+
+
+def test_each_peer_hashes_its_items_once_per_phase(system, monkeypatch):
+    # Phase 1 and phase 2 each put a peer's ids through all f filters in
+    # one kernel call (per-filter hashing entered it 2·f times per peer).
+    entries = []
+    kernel = filters.salted_groups
+
+    def counting(item_ids, salts, n_groups):
+        entries.append(len(item_ids))
+        return kernel(item_ids, salts, n_groups)
+
+    monkeypatch.setattr(filters, "salted_groups", counting)
+    config = NetFilterConfig(filter_size=60, num_filters=3, threshold_ratio=0.01)
+    result = NetFilter(config).run(system.engine)
+    assert result.frequent == oracle_frequent_items(system.network, result.threshold)
+    assert 0 < len(entries) <= 2 * system.network.n_peers

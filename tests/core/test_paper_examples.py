@@ -31,23 +31,9 @@ class FixedGroupFilterBank(FilterBank):
 
     def __init__(self) -> None:
         super().__init__(num_filters=1, filter_size=4, hash_seed=0)
-        fixed = self
 
-        class _FixedFilter:
-            n_groups = 4
-
-            @staticmethod
-            def group_of(item_ids: np.ndarray) -> np.ndarray:
-                return np.asarray(item_ids, dtype=np.int64) // 2
-
-            @staticmethod
-            def local_group_values(item_set: LocalItemSet) -> np.ndarray:
-                groups = _FixedFilter.group_of(item_set.ids)
-                return np.bincount(
-                    groups, weights=item_set.values.astype(float), minlength=4
-                ).astype(np.int64)
-
-        fixed.filters = [_FixedFilter()]
+    def flat_groups(self, item_ids: np.ndarray) -> np.ndarray:
+        return (np.asarray(item_ids, dtype=np.int64) // 2)[None, :]
 
 
 def build_figure1_network() -> tuple[Network, AggregationEngine]:
@@ -123,17 +109,12 @@ def test_figure4_multi_filter_pruning():
     x_groups = [1, 5, 2, 3]
     y_groups = [7, 5, 9, 1]
 
-    class _Scripted:
-        def __init__(self, mapping):
-            self.mapping = mapping
-            self.n_groups = 10
-
-        def group_of(self, ids):
-            return np.array([self.mapping[int(i)] for i in ids])
-
-    bank.filters = [
-        _Scripted({100: xg, 200: yg})
-        for xg, yg in zip(x_groups, y_groups)
-    ]
+    scripted = {100: x_groups, 200: y_groups}
+    bank.flat_groups = lambda ids: np.array(
+        [
+            [index * 10 + scripted[int(i)][index] for i in ids]
+            for index in range(4)
+        ]
+    )
     mask = bank.candidate_mask(np.array([100, 200]), heavy_per_filter)
     assert mask.tolist() == [True, False]

@@ -21,6 +21,13 @@ def test_never_underestimates():
     assert (estimates >= items.values).all()
 
 
+def test_add_is_exact_above_2_to_53():
+    # float64 weights would round 2**53 + 1 down and lose a unit of mass.
+    sketch = CountMinSketch(width=8, depth=2, seed=3)
+    sketch.add(LocalItemSet.from_pairs({10: 2**53 + 1, 11: 2}))
+    assert [int(row.sum()) for row in sketch.counts] == [2**53 + 3] * 2
+
+
 def test_exact_when_no_collisions():
     sketch = CountMinSketch(width=4096, depth=4, seed=0)
     items = LocalItemSet.from_pairs({1: 10, 2: 20, 3: 30})

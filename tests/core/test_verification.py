@@ -68,3 +68,13 @@ def test_heavy_item_is_always_materialized():
     heavy = HeavyGroups.from_aggregate(bank, flat, threshold=500)
     result = materialize_candidates(items, bank, heavy)
     assert 42 in result
+
+
+def test_lookup_is_built_once_and_matches_the_aggregate():
+    bank = FilterBank(num_filters=2, filter_size=3)
+    flat = np.array([10, 0, 0, 0, 10, 10])
+    from_root = HeavyGroups.from_aggregate(bank, flat, threshold=10)
+    assert from_root.lookup(bank).tolist() == [True, False, False, False, True, True]
+    from_wire = HeavyGroups(per_filter=from_root.per_filter)
+    assert from_wire.lookup(bank).tolist() == from_root.lookup(bank).tolist()
+    assert from_wire.lookup(bank) is from_wire.lookup(bank)
