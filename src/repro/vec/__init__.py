@@ -9,18 +9,24 @@ peers.  This package holds the dense tier that removes that ceiling:
   vectors) as numpy columnar arrays (:class:`PeerTable`);
 * :mod:`repro.vec.build` — vectorized population construction and the
   deterministic sharding model (:func:`build_table`);
-* :mod:`repro.vec.engine` — whole convergecast phases as batch array
-  programs with exact closed-form byte accounting;
-* :mod:`repro.vec.netfilter` — :class:`VecNetFilter`, the batched
-  protocol run returning the scalar engine's ``NetFilterResult``;
+* :mod:`repro.vec.engine` — the phase kernels: whole convergecast phases
+  as batch array programs, and the per-edge pricing of one phase;
+* :mod:`repro.vec.netfilter` — the one array executor of Algorithm 1
+  (two rounds around the phase barrier, one ``finish`` that prices a
+  forest of trees) and :class:`VecNetFilter`, which runs it over one
+  tree and returns the scalar engine's ``NetFilterResult``;
 * :mod:`repro.vec.escape` — the dense↔sparse escape hatch and the
   sampled-subpopulation exactness audit;
 * :mod:`repro.vec.shard` — the multiprocess space-sharding driver
-  (:func:`run_sharded`) that puts an N=10^6 run on all cores.
+  (:func:`run_sharded`): the same executor over ``K`` trees, which puts
+  an N=10^6 run on all cores.
 
-The contract with the scalar tier is *exact equivalence* on statically
-faulted networks: same frequent-item sets, same byte totals per cost
-category, pinned by ``tests/vec/test_equivalence.py``.
+What the protocol computes and what each message costs are not restated
+here: the executor runs the event engine's own
+:func:`~repro.core.netfilter.one_shot_plan`.  The contract with the
+scalar tier is *exact equivalence* on statically faulted networks: same
+frequent-item sets, same byte totals per cost category, pinned by
+``tests/vec/test_equivalence.py``.
 """
 
 from repro.vec.build import BuiltShard, build_table, shard_rng

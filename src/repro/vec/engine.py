@@ -9,15 +9,16 @@ byte the event engine charges is a closed-form function of the tree:
 * requests go parent→child once per reachable non-root peer (the scalar
   ``begin_session`` skips dead children, so no request ever targets an
   unreachable peer and no timeout fires);
-* replies go child→parent once per reachable non-root peer, priced by
-  the phase's combiner (``2·s_a`` totals, ``s_a·f·g`` filtering,
-  ``pair_bytes`` per distinct candidate in the sender's subtree for
-  verification).
+* replies go child→parent once per reachable non-root peer, sized by
+  the phase's combiner: a fixed size for totals and filtering, one pair
+  per distinct candidate in the sender's subtree for verification.
 
-The only tree-*shape*-dependent term is the last one; computed here by a
-level-by-level batched subtree merge (:func:`subtree_candidate_pairs`)
-— the exact distinct-count every reply would carry, without simulating
-any message.
+Request bodies, categories and fixed reply sizes are read off the same
+:class:`~repro.aggregation.spec.AggregateSpec` the event engine runs
+(:func:`phase_bytes`).  The only tree-*shape*-dependent term is the
+verification reply; computed here by a level-by-level batched subtree
+merge (:func:`subtree_candidate_pairs`) — the exact distinct-count every
+reply would carry, without simulating any message.
 
 Trace and metrics emission is aggregated per batch: one ``vec.phase``
 event per phase and a bulk histogram merge instead of one observation
@@ -30,9 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from typing import Any
+
+from repro.aggregation.spec import AggregateSpec
 from repro.core.filters import FilterBank
 from repro.core.verification import HeavyGroups
-from repro.net.wire import CostCategory
+from repro.net.wire import CostCategory, SizeModel
+from repro.telemetry import Telemetry
 from repro.telemetry.kinds import declare_kind
 from repro.vec.state import PeerTable
 
@@ -56,29 +61,25 @@ class PhaseBytes:
     down_category: CostCategory
     up_category: CostCategory
 
-    def add_into(self, totals: dict[CostCategory, int]) -> None:
-        totals[self.down_category] = totals.get(self.down_category, 0) + self.requests
-        totals[self.up_category] = totals.get(self.up_category, 0) + self.replies
-
 
 def phase_bytes(
-    table: PeerTable,
+    spec: AggregateSpec,
+    request: Any,
+    model: SizeModel,
     n_edges: int,
-    request_body: int,
     reply_bodies: int,
-    down_category: CostCategory,
-    up_category: CostCategory,
 ) -> PhaseBytes:
-    """Price one phase: ``n_edges`` request messages of ``request_body``
-    bytes each, ``n_edges`` reply messages totalling ``reply_bodies``
-    body bytes, plus the size model's per-message header on every
-    message (0 under the paper's model)."""
-    header = table.size_model.header_bytes
+    """Price one phase of ``spec`` over ``n_edges`` tree edges: one
+    request message per edge, its body priced by the spec, one reply
+    message per edge totalling ``reply_bodies`` body bytes, plus the size
+    model's per-message header on every message (0 under the paper's
+    model) — each sweep charged to the spec's own category."""
+    header = model.header_bytes
     return PhaseBytes(
-        requests=n_edges * (request_body + header),
+        requests=n_edges * (spec.request_bytes(request, model) + header),
         replies=reply_bodies + n_edges * header,
-        down_category=down_category,
-        up_category=up_category,
+        down_category=spec.down_category,
+        up_category=spec.up_category,
     )
 
 
@@ -211,34 +212,28 @@ def subtree_candidate_pairs(
 # ----------------------------------------------------------------------
 # Batched telemetry
 # ----------------------------------------------------------------------
-def emit_phase(
-    telemetry: object,
-    phase: str,
-    *,
-    peers: int,
-    requests: int,
-    replies: int,
-) -> None:
+def emit_phase(telemetry: Telemetry | None, phase: str, peers: int, priced: PhaseBytes) -> None:
     """One aggregated trace event per batched phase (vs one per message
     in the scalar tier)."""
     if telemetry is None:
         return
-    telemetry.emit(  # type: ignore[attr-defined]
+    telemetry.emit(
         VEC_PHASE_KIND,
         phase=phase,
         peers=peers,
-        request_bytes=requests,
-        reply_bytes=replies,
+        request_bytes=priced.requests,
+        reply_bytes=priced.replies,
     )
 
 
-def observe_candidates_histogram(telemetry: object, own_counts: np.ndarray) -> None:
-    """Bulk-merge the per-peer candidate counts into the same
+def observe_candidates_histogram(telemetry: Telemetry | None, peers_holding: np.ndarray) -> None:
+    """Bulk-merge per-peer candidate counts (``peers_holding[c]`` peers
+    hold ``c`` candidates of their own) into the same
     ``netfilter.candidates_per_peer`` histogram the scalar tier feeds,
     one vectorized merge instead of N ``observe`` calls."""
     if telemetry is None:
         return
-    histogram = telemetry.registry.histogram(  # type: ignore[attr-defined]
+    histogram = telemetry.registry.histogram(
         "netfilter.candidates_per_peer", buckets=(0, 1, 4, 16, 64, 256, 1024)
     )
-    histogram.observe_bulk(own_counts)
+    histogram.observe_bulk(np.repeat(np.arange(peers_holding.size), peers_holding))

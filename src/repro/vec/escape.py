@@ -33,6 +33,7 @@ from repro.hierarchy.builder import Hierarchy
 from repro.net.network import Network
 from repro.net.overlay import Topology
 from repro.sim.engine import Simulation
+from repro.telemetry import Telemetry
 from repro.vec.engine import VEC_ESCAPE_KIND
 from repro.vec.netfilter import VecNetFilter
 from repro.vec.state import PeerTable
@@ -51,7 +52,7 @@ class MaterializedPopulation:
 
 
 def materialize_population(
-    table: PeerTable, seed: int = 0, telemetry: object = None
+    table: PeerTable, seed: int = 0, telemetry: Telemetry | None = None
 ) -> MaterializedPopulation:
     """Assemble a full event-driven stack over a (sub-)table.
 
@@ -78,9 +79,7 @@ def materialize_population(
     for peer in np.flatnonzero(~table.alive):  # repro-lint: disable=PERF002
         network.fail_peer(int(peer))
     if telemetry is not None:
-        telemetry.emit(  # type: ignore[attr-defined]
-            VEC_ESCAPE_KIND, direction="materialize", peers=n
-        )
+        telemetry.emit(VEC_ESCAPE_KIND, direction="materialize", peers=n)
     return MaterializedPopulation(
         sim=sim,
         network=network,
@@ -164,7 +163,7 @@ def verify_sampled_subpopulation(
     max_peers: int = 2_000,
     min_peers: int = 2,
     seed: int = 0,
-    telemetry: object = None,
+    telemetry: Telemetry | None = None,
 ) -> SubpopulationAudit:
     """Audit the vectorized tier against the scalar engine on a sampled
     subtree of ``table`` — the acceptance check for large runs.

@@ -1,13 +1,22 @@
-"""netFilter executed by the vectorized tier.
+"""netFilter executed by the vectorized tier: one array statement of
+Algorithm 1.
 
-:class:`VecNetFilter` runs the same three convergecasts as
-:class:`repro.core.netfilter.NetFilter` — totals, candidate filtering,
-candidate verification — as batch array programs over a
-:class:`~repro.vec.state.PeerTable`, and returns the *same*
-:class:`~repro.core.netfilter.NetFilterResult`, with byte accounting
-that matches the scalar engine byte-for-byte on statically-faulted
-networks (``tests/vec/test_equivalence.py`` pins the equivalence at
-N=2,000).
+The phase barrier splits the protocol into two rounds per tree —
+:func:`round1` (totals and the group aggregate, as the tree's root ends
+up holding them) and :func:`round2` (candidate verification against the
+heavy groups) — with :func:`barrier`, what the root does in between, and
+:func:`finish`, which prices a *forest* of round outputs and assembles
+the one :class:`~repro.core.netfilter.NetFilterResult`.
+:meth:`VecNetFilter.run` is that statement over a forest of one tree;
+:func:`repro.vec.shard.run_sharded` is the same statement over ``K``
+trees hung under a super-root.
+
+What is computed and what it costs both come from the
+:func:`~repro.core.netfilter.one_shot_plan` the event engine runs: the
+filter bank, the threshold fold, and per phase the request size, the
+combiner's reply size and the two cost categories.  The byte accounting
+matches the scalar engine byte-for-byte on statically-faulted networks
+(``tests/vec/test_equivalence.py``).
 
 Scope: the dense tier covers the regular bulk — a fixed fault state for
 the duration of one run.  Dynamic irregularity (mid-run crashes, repair,
@@ -23,17 +32,162 @@ value the scalar clock reads on a quiet network.
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 
 from repro.core.config import NetFilterConfig
 from repro.core.filters import FilterBank
-from repro.core.netfilter import NetFilterResult
+from repro.core.netfilter import NetFilterResult, one_shot_plan
+from repro.core.session import AttemptPlan
 from repro.core.verification import HeavyGroups
 from repro.items.itemset import LocalItemSet
 from repro.metrics.breakdown import CostBreakdown
-from repro.net.wire import CostCategory
+from repro.net.wire import CostCategory, SizeModel
+from repro.telemetry import Telemetry
 from repro.vec import engine as vec_engine
 from repro.vec.state import PeerTable
+
+
+@dataclass(frozen=True)
+class Round1:
+    """What one tree's root holds at the phase barrier, plus the facts
+    about the tree that pricing and coverage need."""
+
+    grand_total: int
+    #: Reachable peers — the protocol's ``N`` and the coverage numerator
+    #: (every reached peer contributes exactly 1).
+    participants: int
+    aggregate: np.ndarray
+    live: int
+    height: int
+    size_model: SizeModel
+    latency: float
+
+
+@dataclass(frozen=True)
+class Round2:
+    """One tree's verification outcome."""
+
+    #: The root's merged candidate set with exact values over the tree.
+    candidates: LocalItemSet
+    #: Distinct candidate pairs summed over every in-tree reply.
+    pairs_sent: int
+    #: ``peers_holding[c]`` reachable peers hold ``c`` candidates of their
+    #: own (histogram input; per-peer arrays do not outlive the round).
+    peers_holding: np.ndarray
+
+
+def round1(table: PeerTable, reach: np.ndarray, bank: FilterBank) -> Round1:
+    """Totals and candidate filtering over one tree."""
+    grand_total, participants = vec_engine.grand_totals(table, reach)
+    return Round1(
+        grand_total=grand_total,
+        participants=participants,
+        aggregate=vec_engine.group_aggregate(table, reach, bank),
+        live=table.n_live,
+        height=table.reachable_height(reach),
+        size_model=table.size_model,
+        latency=table.latency,
+    )
+
+
+def barrier(plan: AttemptPlan, firsts: Sequence[Round1]) -> tuple[HeavyGroups, float]:
+    """What the forest's root does between the rounds: merge the trees'
+    totals and group aggregates, fold the threshold, read off the heavy
+    groups."""
+    grand_total = sum(tree.grand_total for tree in firsts)
+    aggregate = np.sum([tree.aggregate for tree in firsts], axis=0)
+    group_totals, threshold, _ = plan.fold(aggregate, grand_total)
+    return HeavyGroups.from_aggregate(plan.bank, group_totals, threshold), threshold
+
+
+def round2(
+    table: PeerTable, reach: np.ndarray, bank: FilterBank, heavy: HeavyGroups
+) -> Round2:
+    """Candidate verification over one tree."""
+    rows = vec_engine.candidate_rows(table, reach, bank, heavy)
+    pairs_sent, root_count, own_counts = vec_engine.subtree_candidate_pairs(table, rows)
+    candidates = LocalItemSet(rows.universe, vec_engine.candidate_global_values(rows))
+    assert root_count == len(candidates)
+    return Round2(
+        candidates=candidates,
+        pairs_sent=pairs_sent,
+        peers_holding=np.bincount(own_counts[reach]),
+    )
+
+
+def finish(
+    plan: AttemptPlan,
+    firsts: Sequence[Round1],
+    heavy: HeavyGroups,
+    threshold: float,
+    seconds: Sequence[Round2],
+    *,
+    population: int,
+    super_root: bool = False,
+    telemetry: Telemetry | None = None,
+) -> tuple[NetFilterResult, dict[CostCategory, int]]:
+    """Price a forest of round outputs and assemble the result; also
+    returns the exact byte totals per category behind the breakdown.
+
+    Every reachable non-root peer's tree edge carries one request and one
+    reply per phase.  With ``super_root`` the trees' roots are themselves
+    children of one more peer (the sharded driver): one more edge per
+    tree, one more hop on the clock.
+    """
+    assert plan.totals is not None  # a one-shot plan always runs the totals phase
+    # One forest, one network: every tree has the same links.
+    model, latency = firsts[0].size_model, firsts[0].latency
+    grand_total = sum(tree.grand_total for tree in firsts)
+    reached = sum(tree.participants for tree in firsts)
+    live = sum(tree.live for tree in firsts)
+    n_edges = reached if super_root else reached - len(firsts)
+    height = max(tree.height for tree in firsts) + (1 if super_root else 0)
+    candidates = LocalItemSet.merge_many([tree.candidates for tree in seconds])
+
+    # Verification replies are the one tree-shaped term: the distinct
+    # pairs of every in-tree reply, plus each root's value on its
+    # super-root edge.
+    verification = plan.verification
+    pair_replies = sum(tree.pairs_sent for tree in seconds) * model.pair_bytes
+    if super_root:
+        pair_replies += sum(
+            verification.combiner.size_bytes(tree.candidates, model) for tree in seconds
+        )
+    totals_reply = plan.totals.combiner.size_bytes((grand_total, reached), model)
+    filtering_reply = plan.phase1.combiner.size_bytes(firsts[0].aggregate, model)
+    totals: Counter[CostCategory] = Counter()
+    for name, spec, request, reply_bodies in (
+        ("totals", plan.totals, None, n_edges * totals_reply),
+        ("filtering", plan.phase1, plan.phase1_request, n_edges * filtering_reply),
+        ("verification", verification, heavy, pair_replies),
+    ):
+        priced = vec_engine.phase_bytes(spec, request, model, n_edges, reply_bodies)
+        totals[priced.down_category] += priced.requests
+        totals[priced.up_category] += priced.replies
+        vec_engine.emit_phase(telemetry, name, reached, priced)
+    for tree in seconds:
+        vec_engine.observe_candidates_histogram(telemetry, tree.peers_holding)
+
+    breakdown = CostBreakdown.from_delta({}, totals, population)
+    result = NetFilterResult(
+        frequent=candidates.filter_values(threshold),
+        candidates=candidates,
+        heavy_groups=heavy,
+        threshold=threshold,
+        grand_total=grand_total,
+        n_participants=reached,
+        breakdown=breakdown,
+        avg_candidates_per_peer=breakdown.aggregation / model.pair_bytes,
+        config=plan.config,
+        elapsed_time=6.0 * height * latency,
+        coverage=reached / live if live > 0 else 1.0,
+        complete=reached >= live,
+    )
+    return result, totals
 
 
 class VecNetFilter:
@@ -53,115 +207,24 @@ class VecNetFilter:
     def __init__(self, config: NetFilterConfig) -> None:
         self.config = config
 
-    def run(self, table: PeerTable, telemetry: object = None) -> NetFilterResult:
+    def run(self, table: PeerTable, telemetry: Telemetry | None = None) -> NetFilterResult:
         """Execute Algorithm 1 over the columnar population."""
-        model = table.size_model
-        population = table.n_peers
         if not bool(table.alive[table.root]):
             # Mirror the scalar engine's honest answer for a dead root:
             # empty, complete=False, zero coverage, nothing charged.
             return NetFilterResult.aborted(self.config, CostBreakdown(), 0.0)
-
+        plan = one_shot_plan(self.config)
         reach = table.reachable_mask()
-        n_reached = int(np.count_nonzero(reach))
-        n_edges = n_reached - 1  # parent->child links the convergecasts use
-        height = table.reachable_height(reach)
-        totals: dict[CostCategory, int] = {}
-
-        # Step 0: grand total v and participant count N (TupleCombiner of
-        # two scalar sums: s_a request down, 2*s_a reply up, all CONTROL).
-        grand_total, n_participants = vec_engine.grand_totals(table, reach)
-        threshold = self.config.resolve_threshold(grand_total)
-        phase0 = vec_engine.phase_bytes(
-            table,
-            n_edges,
-            request_body=model.aggregate_bytes,
-            reply_bodies=n_edges * 2 * model.aggregate_bytes,
-            down_category=CostCategory.CONTROL,
-            up_category=CostCategory.CONTROL,
+        first = round1(table, reach, plan.bank)
+        heavy, threshold = barrier(plan, [first])
+        second = round2(table, reach, plan.bank, heavy)
+        result, _ = finish(
+            plan,
+            [first],
+            heavy,
+            threshold,
+            [second],
+            population=table.n_peers,
+            telemetry=telemetry,
         )
-        phase0.add_into(totals)
-        vec_engine.emit_phase(
-            telemetry,
-            "totals",
-            peers=n_reached,
-            requests=phase0.requests,
-            replies=phase0.replies,
-        )
-
-        # Phase 1: candidate filtering (s_a request down as CONTROL,
-        # s_a*f*g vector reply up as FILTERING).
-        bank = FilterBank(
-            self.config.num_filters, self.config.filter_size, self.config.hash_seed
-        )
-        aggregate = vec_engine.group_aggregate(table, reach, bank)
-        heavy = HeavyGroups.from_aggregate(bank, aggregate, threshold)
-        phase1 = vec_engine.phase_bytes(
-            table,
-            n_edges,
-            request_body=model.aggregate_bytes,
-            reply_bodies=n_edges * model.aggregate_bytes * bank.total_groups,
-            down_category=CostCategory.CONTROL,
-            up_category=CostCategory.FILTERING,
-        )
-        phase1.add_into(totals)
-        vec_engine.emit_phase(
-            telemetry,
-            "filtering",
-            peers=n_reached,
-            requests=phase1.requests,
-            replies=phase1.replies,
-        )
-
-        # Phase 2: candidate verification (heavy groups ride down as
-        # DISSEMINATION; keyed candidate sums merge up as AGGREGATION —
-        # the one tree-shape-dependent term, batched level by level).
-        rows = vec_engine.candidate_rows(table, reach, bank, heavy)
-        pairs_sent, root_count, own_counts = vec_engine.subtree_candidate_pairs(
-            table, rows
-        )
-        candidate_values = vec_engine.candidate_global_values(rows)
-        candidates = LocalItemSet(rows.universe, candidate_values)
-        assert root_count == len(candidates)
-        frequent = candidates.filter_values(threshold)
-        phase2 = vec_engine.phase_bytes(
-            table,
-            n_edges,
-            request_body=heavy.wire_bytes(model),
-            reply_bodies=pairs_sent * model.pair_bytes,
-            down_category=CostCategory.DISSEMINATION,
-            up_category=CostCategory.AGGREGATION,
-        )
-        phase2.add_into(totals)
-        vec_engine.emit_phase(
-            telemetry,
-            "verification",
-            peers=n_reached,
-            requests=phase2.requests,
-            replies=phase2.replies,
-        )
-        vec_engine.observe_candidates_histogram(telemetry, own_counts[reach])
-
-        breakdown = CostBreakdown(
-            filtering=totals.get(CostCategory.FILTERING, 0) / population,
-            dissemination=totals.get(CostCategory.DISSEMINATION, 0) / population,
-            aggregation=totals.get(CostCategory.AGGREGATION, 0) / population,
-            control=totals.get(CostCategory.CONTROL, 0) / population,
-        )
-        pairs_equiv = totals.get(CostCategory.AGGREGATION, 0) / model.pair_bytes
-        expected = table.n_live
-        coverage = n_reached / expected if expected > 0 else 1.0
-        return NetFilterResult(
-            frequent=frequent,
-            candidates=candidates,
-            heavy_groups=heavy,
-            threshold=threshold,
-            grand_total=grand_total,
-            n_participants=n_participants,
-            breakdown=breakdown,
-            avg_candidates_per_peer=pairs_equiv / population,
-            config=self.config,
-            elapsed_time=6.0 * height * table.latency,
-            coverage=coverage,
-            complete=n_reached >= expected,
-        )
+        return result

@@ -5,18 +5,15 @@ the single-core ceiling.  The peer id space is split into ``K`` equal
 shards, each an independent columnar population (its own overlay, tree,
 and slice of the instance budget — see :mod:`repro.vec.build`), and the
 driver plays the role of a super-root with the ``K`` shard roots as
-children:
+children.
 
-* **Round 1** (one task per shard, via
-  :func:`repro.experiments.parallel.run_trials`): each shard computes
-  its totals and phase-1 group aggregates; the driver merges ``v``,
-  ``N`` and the ``f·g`` vector, resolves the global threshold, and
-  extracts the heavy groups — the protocol's phase barrier, exactly as
-  the real root would.
-* **Round 2**: the heavy groups travel back down; each shard verifies
-  its candidates and returns its root's keyed candidate sums plus its
-  exact phase byte totals; the driver merges the candidate sets and
-  prices the ``K`` super-root links like any other tree edge.
+The protocol is the one in :mod:`repro.vec.netfilter`, run over a forest
+of ``K`` trees: each round is one task per shard dispatched through
+:func:`repro.experiments.parallel.run_trials`, the driver stands at the
+phase barrier between them exactly as the real root would, and the ``K``
+super-root links are priced like any other tree edge.  Round 2 rebuilds
+its shard — the table is a pure function of ``(plan, shard)`` — so no
+population is held across the barrier.
 
 Workers are pure functions of ``(plan, shard)`` — same spec order, same
 results for ``jobs=1`` and ``jobs=K`` (the :mod:`repro.experiments.parallel`
@@ -29,21 +26,21 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.core.config import NetFilterConfig
 from repro.core.filters import FilterBank
-from repro.core.netfilter import NetFilterResult
+from repro.core.netfilter import NetFilterResult, one_shot_plan
 from repro.core.verification import HeavyGroups
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import TrialSpec, run_trials
-from repro.items.itemset import LocalItemSet
-from repro.metrics.breakdown import CostBreakdown
-from repro.net.wire import CostCategory, SizeModel
-from repro.vec import engine as vec_engine
+from repro.net.wire import CostCategory
+from repro.telemetry import Telemetry
 from repro.vec.build import build_table
+from repro.vec.engine import VEC_SHARD_KIND
+from repro.vec.netfilter import Round1, Round2, barrier, finish, round1, round2
 from repro.vec.state import PeerTable
 
 
@@ -93,58 +90,18 @@ def _build_shard(plan: ShardPlan, shard: int) -> tuple[PeerTable, np.ndarray]:
     return built.table, built.global_values
 
 
-def _phase1_worker(plan: ShardPlan, shard: int, return_truth: bool) -> dict[str, Any]:
-    """Round 1: totals + phase-1 aggregates for one shard."""
+def _round1_worker(
+    plan: ShardPlan, shard: int, bank: FilterBank, return_truth: bool
+) -> tuple[Round1, np.ndarray | None]:
+    """Round 1 for one shard, plus its generation-side truth on request."""
     table, truth = _build_shard(plan, shard)
-    reach = table.reachable_mask()
-    n_edges = int(np.count_nonzero(reach)) - 1
-    model = table.size_model
-    bank = FilterBank(
-        plan.config.num_filters, plan.config.filter_size, plan.config.hash_seed
-    )
-    grand_total, participants = vec_engine.grand_totals(table, reach)
-    aggregate = vec_engine.group_aggregate(table, reach, bank)
-    return {
-        "shard": shard,
-        "grand_total": grand_total,
-        "participants": participants,
-        "aggregate": aggregate,
-        "height": table.reachable_height(reach),
-        "control_bytes": n_edges * (3 * model.aggregate_bytes + model.aggregate_bytes)
-        + n_edges * 4 * model.header_bytes,
-        "filtering_bytes": n_edges * model.aggregate_bytes * bank.total_groups,
-        "truth": truth if return_truth else None,
-    }
+    return round1(table, table.reachable_mask(), bank), truth if return_truth else None
 
 
-def _phase2_worker(
-    plan: ShardPlan, shard: int, heavy_arrays: tuple[Any, ...], threshold: int
-) -> dict[str, Any]:
-    """Round 2: candidate verification for one shard, given the globally
-    merged heavy groups (rebuilds the shard deterministically — the
-    table is a pure function of ``(plan, shard)``)."""
+def _round2_worker(plan: ShardPlan, shard: int, bank: FilterBank, heavy: HeavyGroups) -> Round2:
+    """Round 2 for one shard, on a fresh build of it."""
     table, _ = _build_shard(plan, shard)
-    reach = table.reachable_mask()
-    n_edges = int(np.count_nonzero(reach)) - 1
-    model = table.size_model
-    bank = FilterBank(
-        plan.config.num_filters, plan.config.filter_size, plan.config.hash_seed
-    )
-    heavy = HeavyGroups(
-        per_filter=tuple(np.asarray(groups, dtype=np.int64) for groups in heavy_arrays)
-    )
-    rows = vec_engine.candidate_rows(table, reach, bank, heavy)
-    pairs_sent, root_count, _ = vec_engine.subtree_candidate_pairs(table, rows)
-    values = vec_engine.candidate_global_values(rows)
-    return {
-        "shard": shard,
-        "candidate_ids": rows.universe,
-        "candidate_values": values,
-        "root_count": root_count,
-        "dissemination_bytes": n_edges * (heavy.wire_bytes(model) + model.header_bytes),
-        "aggregation_bytes": pairs_sent * model.pair_bytes
-        + n_edges * model.header_bytes,
-    }
+    return round2(table, table.reachable_mask(), bank, heavy)
 
 
 @dataclass(frozen=True)
@@ -162,7 +119,7 @@ class ShardedResult:
 def run_sharded(
     plan: ShardPlan,
     jobs: int = 1,
-    telemetry: object = None,
+    telemetry: Telemetry | None = None,
     return_truth: bool = False,
 ) -> ShardedResult:
     """Run netFilter over ``plan.n_shards`` independent shards and merge
@@ -173,114 +130,60 @@ def run_sharded(
     exact generation-side global values, so callers can check the merged
     answer against the oracle (used by ``bench_scaling``).
     """
-    shards = list(range(plan.n_shards))
-    round1 = run_trials(
-        [
-            TrialSpec(
-                fn=_phase1_worker,
-                kwargs={"plan": plan, "shard": s, "return_truth": return_truth},
-                label=f"shard{s}-phase1",
-            )
-            for s in shards
-        ],
-        jobs=jobs,
-    )
-    model = SizeModel()
-    bank = FilterBank(
-        plan.config.num_filters, plan.config.filter_size, plan.config.hash_seed
-    )
-    grand_total = sum(r["grand_total"] for r in round1)
-    participants = sum(r["participants"] for r in round1)
-    aggregate = np.sum([r["aggregate"] for r in round1], axis=0)
-    threshold = plan.config.resolve_threshold(int(grand_total))
-    heavy = HeavyGroups.from_aggregate(bank, aggregate, threshold)
-    if telemetry is not None:
-        telemetry.emit(  # type: ignore[attr-defined]
-            vec_engine.VEC_SHARD_KIND,
-            shards=plan.n_shards,
-            grand_total=int(grand_total),
-            heavy_groups=heavy.total_count,
+    attempt = one_shot_plan(plan.config)
+    shards = range(plan.n_shards)
+
+    def dispatch(worker: Callable[..., Any], label: str, **kwargs: Any) -> list[Any]:
+        return run_trials(
+            [
+                TrialSpec(
+                    fn=worker,
+                    kwargs={"plan": plan, "shard": s, "bank": attempt.bank, **kwargs},
+                    label=f"shard{s}-{label}",
+                )
+                for s in shards
+            ],
+            jobs=jobs,
         )
 
-    round2 = run_trials(
-        [
-            TrialSpec(
-                fn=_phase2_worker,
-                kwargs={
-                    "plan": plan,
-                    "shard": s,
-                    "heavy_arrays": tuple(g for g in heavy.per_filter),
-                    "threshold": threshold,
-                },
-                label=f"shard{s}-phase2",
-            )
-            for s in shards
-        ],
-        jobs=jobs,
+    firsts, truths = zip(*dispatch(_round1_worker, "phase1", return_truth=return_truth))
+    heavy, threshold = barrier(attempt, firsts)
+    seconds = dispatch(_round2_worker, "phase2", heavy=heavy)
+    result, totals = finish(
+        attempt,
+        firsts,
+        heavy,
+        threshold,
+        seconds,
+        population=plan.n_peers,
+        super_root=True,
+        telemetry=telemetry,
     )
-    candidates = LocalItemSet.merge_many(
-        [
-            LocalItemSet(r["candidate_ids"], r["candidate_values"])
-            for r in round2
-        ]
-    )
-    frequent = candidates.filter_values(threshold)
-
-    # The K super-root links are tree edges like any other: requests down
-    # (totals, filtering, heavy dissemination), replies up (totals pair,
-    # aggregate vector, the shard root's distinct candidate pairs).
-    k = plan.n_shards
-    totals: dict[CostCategory, int] = {
-        CostCategory.CONTROL: sum(r["control_bytes"] for r in round1)
-        + k * (4 * model.aggregate_bytes + 4 * model.header_bytes),
-        CostCategory.FILTERING: sum(r["filtering_bytes"] for r in round1)
-        + k * model.aggregate_bytes * bank.total_groups,
-        CostCategory.DISSEMINATION: sum(r["dissemination_bytes"] for r in round2)
-        + k * (heavy.wire_bytes(model) + model.header_bytes),
-        CostCategory.AGGREGATION: sum(r["aggregation_bytes"] for r in round2)
-        + sum(r["root_count"] for r in round2) * model.pair_bytes
-        + k * model.header_bytes,
-    }
-    population = plan.n_peers
-    breakdown = CostBreakdown(
-        filtering=totals[CostCategory.FILTERING] / population,
-        dissemination=totals[CostCategory.DISSEMINATION] / population,
-        aggregation=totals[CostCategory.AGGREGATION] / population,
-        control=totals[CostCategory.CONTROL] / population,
-    )
-    height = max(r["height"] for r in round1) + 1  # +1: the super-root hop
-    result = NetFilterResult(
-        frequent=frequent,
-        candidates=candidates,
-        heavy_groups=heavy,
-        threshold=threshold,
-        grand_total=int(grand_total),
-        n_participants=int(participants),
-        breakdown=breakdown,
-        avg_candidates_per_peer=(
-            totals[CostCategory.AGGREGATION] / model.pair_bytes / population
-        ),
-        config=plan.config,
-        elapsed_time=6.0 * height,
-        coverage=1.0,
-        complete=True,
-    )
-    digest = replay_digest(plan, result, totals)
-    truth = None
-    if return_truth:
-        truth = np.sum([r["truth"] for r in round1], axis=0)
+    if telemetry is not None:
+        telemetry.emit(
+            VEC_SHARD_KIND,
+            shards=plan.n_shards,
+            grand_total=result.grand_total,
+            heavy_groups=heavy.total_count,
+        )
+    truth = {"truth": np.sum(truths, axis=0)} if return_truth else {}
     per_shard = tuple(
         {
             "shard": s,
-            "participants": round1[s]["participants"],
-            "grand_total": round1[s]["grand_total"],
-            "height": round1[s]["height"],
-            "root_candidates": round2[s]["root_count"],
-            **({"truth": truth} if return_truth and s == 0 else {}),
+            "participants": firsts[s].participants,
+            "grand_total": firsts[s].grand_total,
+            "height": firsts[s].height,
+            "root_candidates": len(seconds[s].candidates),
+            **(truth if s == 0 else {}),
         }
         for s in shards
     )
-    return ShardedResult(result=result, plan=plan, digest=digest, per_shard=per_shard)
+    return ShardedResult(
+        result=result,
+        plan=plan,
+        digest=replay_digest(plan, result, totals),
+        per_shard=per_shard,
+    )
 
 
 def replay_digest(

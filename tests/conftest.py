@@ -16,6 +16,7 @@ from repro.aggregation.hierarchical import AggregationEngine
 from repro.hierarchy.builder import Hierarchy
 from repro.net.network import Network
 from repro.net.overlay import Topology
+from repro.net.wire import SizeModel
 from repro.sim.engine import Simulation
 from repro.workload.workload import Workload
 
@@ -37,12 +38,13 @@ def build_small_system(
     n_items: int = 2000,
     skew: float = 1.0,
     mean_degree: float = 4.0,
+    size_model: SizeModel | None = None,
 ) -> SmallSystem:
     """Assemble a small seeded system (used directly by parameterized
     tests that need several seeds)."""
     sim = Simulation(seed=seed)
     topology = Topology.random_connected(n_peers, mean_degree, sim.rng.stream("topology"))
-    network = Network(sim, topology)
+    network = Network(sim, topology, size_model=size_model)
     workload = Workload.zipf(
         n_items=n_items, n_peers=n_peers, skew=skew, rng=sim.rng.stream("workload")
     )

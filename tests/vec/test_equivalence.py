@@ -13,15 +13,26 @@ Two directions are pinned:
   :class:`PeerTable` via ``from_network``;
 * vec-built population (:func:`build_table`) lifted into a full
   event-driven stack via ``materialize_population``.
+
+A third class draws the cell instead of fixing it: random trees, random
+static fault masks, header sizes and filter shapes at small N.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.aggregation.hierarchical import AggregationEngine
 from repro.core.config import NetFilterConfig
 from repro.core.netfilter import NetFilter
+from repro.hierarchy.builder import Hierarchy
+from repro.net.network import Network
+from repro.net.overlay import Topology
+from repro.net.wire import SizeModel
+from repro.sim.engine import Simulation
 from repro.vec import (
     PeerTable,
     VecNetFilter,
@@ -30,6 +41,8 @@ from repro.vec import (
     materialize_population,
     verify_sampled_subpopulation,
 )
+
+from repro.workload.workload import Workload
 
 from tests.conftest import build_small_system
 
@@ -60,7 +73,18 @@ class TestScalarBuiltGate:
         assert scalar.elapsed_time == vec.elapsed_time
 
     def test_static_faults(self):
-        system = build_small_system(seed=4, n_peers=400, n_items=1_000)
+        self.check_static_faults(header_bytes=0)
+
+    def test_static_faults_with_message_headers(self):
+        # A non-zero header (``ablations.py`` runs them) pins which
+        # category every request and reply header is charged to.
+        self.check_static_faults(header_bytes=16)
+
+    @staticmethod
+    def check_static_faults(header_bytes):
+        system = build_small_system(
+            seed=4, n_peers=400, n_items=1_000, size_model=SizeModel(header_bytes=header_bytes)
+        )
         rng = np.random.default_rng(9)
         for peer in rng.choice(np.arange(1, 400), size=40, replace=False):
             system.network.fail_peer(int(peer))
@@ -97,3 +121,63 @@ class TestVecBuiltGate:
         table.alive[dead] = False
         audit = verify_sampled_subpopulation(table, CONFIG, max_peers=250)
         audit.raise_on_mismatch()
+
+
+@st.composite
+def faulted_trees(draw):
+    """``(parent of each non-root peer, dead peers)`` over 2..60 peers,
+    rooted at peer 0, which stays up."""
+    n_peers = draw(st.integers(2, 60))
+    parents = [draw(st.integers(0, child - 1)) for child in range(1, n_peers)]
+    dead = draw(st.sets(st.integers(1, n_peers - 1), max_size=n_peers // 2))
+    return parents, sorted(dead)
+
+
+def run_both(parents, dead, header_bytes, config, workload_seed):
+    """The same faulted tree through the event engine and, lowered with
+    ``from_network``, through the array executor."""
+    n_peers = len(parents) + 1
+    sim = Simulation(seed=0)
+    edges = [(parent, child) for child, parent in enumerate(parents, start=1)]
+    network = Network(
+        sim, Topology.from_edges(n_peers, edges), size_model=SizeModel(header_bytes=header_bytes)
+    )
+    workload = Workload.zipf(
+        n_items=200, n_peers=n_peers, skew=1.0, rng=np.random.default_rng(workload_seed)
+    )
+    network.assign_items(workload.item_sets)
+    hierarchy = Hierarchy.build(network, root=0)
+    for peer in dead:
+        network.fail_peer(peer)
+    scalar = NetFilter(config).run(AggregationEngine(hierarchy))
+    vec = VecNetFilter(config).run(PeerTable.from_network(network, hierarchy))
+    return scalar, vec
+
+
+class TestGeneratedTrees:
+    """vec ≡ scalar on drawn trees and static fault masks."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        tree=faulted_trees(),
+        header_bytes=st.sampled_from([0, 16]),
+        num_filters=st.integers(1, 3),
+        filter_size=st.integers(2, 48),
+        workload_seed=st.integers(0, 2**16),
+    )
+    def test_identical_results_bytes_and_clock(
+        self, tree, header_bytes, num_filters, filter_size, workload_seed
+    ):
+        config = NetFilterConfig(
+            filter_size=filter_size, num_filters=num_filters, threshold_ratio=0.02
+        )
+        scalar, vec = run_both(*tree, header_bytes, config, workload_seed)
+        assert compare_results(scalar, vec) == ()
+        assert scalar.elapsed_time == vec.elapsed_time
+
+    def test_dead_root_aborts_in_both(self):
+        scalar, vec = run_both([0, 0, 1], [0], 16, CONFIG, 3)
+        assert compare_results(scalar, vec) == ()
+        assert scalar.elapsed_time == vec.elapsed_time == 0.0
+        assert not vec.complete and vec.coverage == 0.0 and len(vec.frequent) == 0
+        assert vec.breakdown.total == 0.0
