@@ -445,13 +445,15 @@ class Transport:
         trace = sim.trace
         span_sid = 0
         if trace.active:
+            payload_kind = type(payload).__name__
+            category_value = category.value
             trace.emit(
                 sim.now,
                 "msg.sent",
                 sender=sender,
                 recipient=recipient,
-                payload_kind=type(payload).__name__,
-                category=category.value,
+                payload_kind=payload_kind,
+                category=category_value,
                 size=size,
             )
             spans_ = self._spans
@@ -465,8 +467,8 @@ class Transport:
                     "wire.msg",
                     sender=sender,
                     recipient=recipient,
-                    payload_kind=type(payload).__name__,
-                    category=category.value,
+                    payload_kind=payload_kind,
+                    category=category_value,
                     size=size,
                 )
         else:

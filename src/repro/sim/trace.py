@@ -14,6 +14,13 @@ engineered to cost almost nothing:
 * Per-kind handler chains are compiled into a dispatch cache on first
   emit of each kind, so a steady-state emit does one dict lookup instead
   of three.
+* One :class:`LineWriter` (the JSONL sink) may take the tracer's writer
+  slot.  For a kind whose only consumer is that writer, with nothing
+  recording, the compiled route *is* the writer: ``emit`` hands it
+  ``(time, kind, fields)`` and no :class:`TraceRecord` is built.  Any
+  other consumer of the kind (or recording) compiles the ordinary record
+  dispatch, where the writer sits at its wildcard position — so the order
+  in which it sees events never depends on which route ran.
 * Components that count at very high frequency (the transport) keep plain
   integer accumulators and register a *flush hook*; reading
   :attr:`Tracer.counters` flushes those accumulators in, so readers always
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Protocol
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,6 +41,27 @@ class TraceRecord:
     time: float
     kind: str
     fields: dict[str, Any] = field(default_factory=dict)
+
+
+#: A compiled per-kind route: receives ``(time, kind, fields)``.
+Route = Callable[[float, str, dict[str, Any]], None]
+
+
+class LineWriter(Protocol):
+    """A consumer that can take events without a :class:`TraceRecord`.
+
+    ``write`` and ``on_record`` must produce the same output for the same
+    event; the tracer calls ``write`` when the writer is a kind's only
+    consumer and ``on_record`` (as a wildcard subscriber) otherwise.
+    """
+
+    def write(self, time: float, kind: str, fields: dict[str, Any]) -> None: ...
+
+    def on_record(self, record: TraceRecord) -> None: ...
+
+
+def _drop(time: float, kind: str, fields: dict[str, Any]) -> None:
+    """The route of a kind nobody consumes."""
 
 
 class Tracer:
@@ -51,10 +79,12 @@ class Tracer:
         self._counters: Counter[str] = Counter()
         self._subscribers: dict[str, list[Callable[[TraceRecord], None]]] = {}
         self._records: list[TraceRecord] | None = None
-        #: Per-kind compiled handler chains (kind-specific plus wildcard),
-        #: built lazily and invalidated whenever the subscriber table
-        #: changes.
-        self._dispatch: dict[str, tuple[Callable[[TraceRecord], None], ...]] = {}
+        #: The line-writer slot (see :meth:`attach_writer`).
+        self._writer: LineWriter | None = None
+        #: Per-kind compiled routes (the writer itself, or a record
+        #: dispatch over kind-specific plus wildcard handlers), built
+        #: lazily and invalidated whenever the consumer table changes.
+        self._dispatch: dict[str, Route] = {}
         self._flush_hooks: list[Callable[[], None]] = []
         #: True while anything (recording or a subscriber) consumes full
         #: records.  Hot paths must check this before building expensive
@@ -150,6 +180,24 @@ class Tracer:
             del self._subscribers[kind]
         self._update_active()
 
+    def attach_writer(self, writer: LineWriter) -> None:
+        """Subscribe ``writer`` to every record and, if the slot is free,
+        give it the tracer's line-writer slot.
+
+        A writer in the slot receives ``write(time, kind, fields)``
+        directly for every kind it alone consumes; a second writer is an
+        ordinary wildcard subscriber.
+        """
+        if self._writer is None:
+            self._writer = writer
+        self.subscribe("", writer.on_record)
+
+    def detach_writer(self, writer: LineWriter) -> None:
+        """Undo :meth:`attach_writer` (unknown writers are ignored)."""
+        if self._writer is writer:
+            self._writer = None
+        self.unsubscribe("", writer.on_record)
+
     def reset(self) -> None:
         """Forget all counters, captured records, and subscribers, and
         invalidate the compiled dispatch/active caches.
@@ -163,28 +211,52 @@ class Tracer:
             hook()
         self._counters.clear()
         self._subscribers.clear()
+        self._writer = None
         self._records = None
         self._update_active()
 
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
-    def emit(self, time: float, kind: str, **fields: Any) -> None:
-        """Record one trace event."""
+    def emit(
+        self, time: float, kind: str, fields: dict[str, Any] | None = None, /, **kwargs: Any
+    ) -> None:
+        """Record one trace event.
+
+        Fields come as keywords, or as one prebuilt dict (positional, so a
+        field may itself be called ``fields``) whose ownership passes to
+        the tracer — the caller must not mutate it afterwards.
+        """
         self._counters[kind] += 1
         if not self.active:
             return
-        handlers = self._dispatch.get(kind)
-        if handlers is None:
-            handlers = tuple(self._subscribers.get(kind, ())) + tuple(
-                self._subscribers.get("", ())
-            )
-            self._dispatch[kind] = handlers
+        if fields is None:
+            fields = kwargs
+        elif kwargs:
+            fields = {**fields, **kwargs}
+        route = self._dispatch.get(kind)
+        if route is None:
+            route = self._dispatch[kind] = self._compile(kind)
+        route(time, kind, fields)
+
+    def _compile(self, kind: str) -> Route:
+        """The route for ``kind`` under the current consumer table."""
+        handlers = tuple(self._subscribers.get(kind, ())) + tuple(
+            self._subscribers.get("", ())
+        )
         records = self._records
-        if records is None and not handlers:
-            return
-        record = TraceRecord(time=time, kind=kind, fields=fields)
-        if records is not None:
-            records.append(record)
-        for handler in handlers:
-            handler(record)
+        if records is None:
+            if not handlers:
+                return _drop
+            writer = self._writer
+            if writer is not None and handlers == (writer.on_record,):
+                return writer.write
+
+        def dispatch(time: float, kind: str, fields: dict[str, Any]) -> None:
+            record = TraceRecord(time, kind, fields)
+            if records is not None:
+                records.append(record)
+            for handler in handlers:
+                handler(record)
+
+        return dispatch

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 from contextlib import contextmanager
 from time import perf_counter
 
-from repro.metrics.registry import DEFAULT_TIME_BUCKETS, MetricsRegistry
+from repro.metrics.registry import DEFAULT_TIME_BUCKETS, MetricsRegistry, TimerMetric
 from repro.sim.trace import Tracer
 from repro.telemetry.spans import SpanTracker
 
@@ -56,6 +56,8 @@ class Telemetry:
         self.spans = SpanTracker(sim, self.tracer)
         self.epochs: "EpochTimeseries | None" = None
         self._sinks: list["JsonlTraceSink"] = []
+        #: ``span.<kind>`` timers, bound on a kind's first close.
+        self._span_timers: dict[str, TimerMetric] = {}
 
     # ------------------------------------------------------------------
     # Wiring
@@ -159,7 +161,7 @@ class Telemetry:
     # ------------------------------------------------------------------
     def emit(self, kind: str, **fields: Any) -> None:
         """Emit one trace event stamped with the current simulated time."""
-        self.tracer.emit(self._sim.now, kind, **fields)
+        self.tracer.emit(self._sim.now, kind, fields)
 
     @contextmanager
     def span(self, kind: str, **fields: Any) -> Iterator[dict[str, Any]]:
@@ -179,7 +181,7 @@ class Telemetry:
         spans = self.spans
         sid = spans.open(kind)
         previous = spans.activate(sid) if sid else spans.current
-        self.tracer.emit(self._sim.now, kind, ev="begin", **fields)
+        self.tracer.emit(self._sim.now, kind, {"ev": "begin", **fields})
         extra: dict[str, Any] = {}
         sim_started = self._sim.now
         wall_started = perf_counter()
@@ -187,19 +189,22 @@ class Telemetry:
             yield extra
         finally:
             sim_elapsed = self._sim.now - sim_started
-            merged = dict(fields)
-            merged.update(extra)
             self.tracer.emit(
                 self._sim.now,
                 kind,
-                ev="end",
-                sim_elapsed=sim_elapsed,
-                wall_elapsed=perf_counter() - wall_started,
-                **merged,
+                {
+                    "ev": "end",
+                    "sim_elapsed": sim_elapsed,
+                    "wall_elapsed": perf_counter() - wall_started,
+                    **fields,
+                    **extra,
+                },
             )
-            self.registry.timer(f"span.{kind}", DEFAULT_TIME_BUCKETS).observe(
-                sim_elapsed
-            )
+            timer = self._span_timers.get(kind)
+            if timer is None:
+                timer = self.registry.timer(f"span.{kind}", DEFAULT_TIME_BUCKETS)
+                self._span_timers[kind] = timer
+            timer.observe(sim_elapsed)
             if sid:
                 spans.restore(previous)
                 spans.close(sid)

@@ -182,11 +182,7 @@ class SpanTracker:
         tracer.emit(
             self._sim.now,
             "span.open",
-            span=sid,
-            parent=parent,
-            span_kind=kind,
-            peer=peer,
-            **fields,
+            {"span": sid, "parent": parent, "span_kind": kind, "peer": peer, **fields},
         )
         return sid
 
@@ -213,11 +209,7 @@ class SpanTracker:
         self._tracer.emit(
             self._sim.now,
             "span.close",
-            span=sid,
-            span_kind=entry[0],
-            status=status,
-            cause=cause,
-            **fields,
+            {"span": sid, "span_kind": entry[0], "status": status, "cause": cause, **fields},
         )
 
     # ------------------------------------------------------------------

@@ -11,9 +11,18 @@ each other's blind spots: CPython's set iteration order is stable
 within one interpreter, so this gate alone cannot catch a DET003
 violation — and the linter alone cannot prove the event *content*
 matches.
+
+The golden digests below additionally pin the *bytes* of the seed-7
+trace (spans on, ``wall_elapsed`` stripped) so a change to how the trace
+is encoded or ordered cannot pass as long as it is merely self-consistent.
 """
 
 from __future__ import annotations
+
+import hashlib
+import re
+
+import pytest
 
 from repro.aggregation.hierarchical import AggregationEngine
 from repro.core.netfilter import NetFilter, NetFilterConfig
@@ -30,10 +39,25 @@ from repro.workload.workload import Workload
 WALL_CLOCK_FIELDS = ("wall_elapsed",)
 
 
-def run_trial(seed: int, trace_path: str) -> dict[int, float]:
+#: sha256 of the seed-7 spans trace with ``wall_elapsed`` stripped (see
+#: :func:`trace_digest`), per JSONL sampling factor.  Regenerate only for
+#: an intended change to the trace format or the protocol's event stream.
+GOLDEN_SPANS_DIGESTS = {
+    1: "54c9b95e1456bbf94db099a06f72a0d19efe1672f7646075310535d707fa7980",
+    3: "22eaa28e2fcbc4af00ada4c16fe60e87b9254f0c46797aede86c2de324235c0f",
+}
+
+_WALL_CLOCK_TEXT = re.compile(r', "wall_elapsed": [^,}]+')
+
+
+def run_trial(
+    seed: int, trace_path: str, *, spans: bool = False, sample_every: int = 1
+) -> dict[int, float]:
     """One traced netFilter trial; returns the frequent-item result."""
     sim = Simulation(seed=seed)
-    sim.telemetry.attach_jsonl(trace_path)
+    sim.telemetry.attach_jsonl(trace_path, sample_every=sample_every)
+    if spans:
+        sim.telemetry.enable_spans(sample_every=sample_every)
     topology = Topology.random_connected(36, 4.0, sim.rng.stream("topology"))
     network = Network(
         sim,
@@ -57,6 +81,14 @@ def strip_wall_clock(records: list[dict]) -> list[dict]:
         {key: value for key, value in record.items() if key not in WALL_CLOCK_FIELDS}
         for record in records
     ]
+
+
+def trace_digest(trace_path: str) -> str:
+    """sha256 of the trace file's bytes with every ``wall_elapsed`` field
+    cut out of its line."""
+    with open(trace_path, encoding="utf-8") as handle:
+        text = _WALL_CLOCK_TEXT.sub("", handle.read())
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_same_seed_runs_replay_trace_identically(tmp_path):
@@ -97,3 +129,11 @@ def test_different_seeds_diverge(tmp_path):
     a = strip_wall_clock(read_trace(a_path))
     b = strip_wall_clock(read_trace(b_path))
     assert a != b
+
+
+@pytest.mark.parametrize("sample_every", sorted(GOLDEN_SPANS_DIGESTS))
+def test_spans_trace_bytes_are_pinned(tmp_path, sample_every):
+    """The seed-7 spans trace is byte-identical to the pinned golden."""
+    path = str(tmp_path / "spans.jsonl")
+    run_trial(seed=7, trace_path=path, spans=True, sample_every=sample_every)
+    assert trace_digest(path) == GOLDEN_SPANS_DIGESTS[sample_every]
