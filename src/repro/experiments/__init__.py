@@ -1,10 +1,14 @@
-"""The experiment harness: one module per figure of the paper.
+"""The experiment harness: the paper's evaluation as table-driven sweeps.
 
-Every figure of the evaluation (Section V) has a ``run_figureX`` function
-that sweeps the paper's parameter, executes measured protocol runs, and
-returns structured rows; :mod:`repro.experiments.report` renders them as
-the tables recorded in ``EXPERIMENTS.md``.  ``python -m repro.experiments
-<fig5|fig6|fig7|fig8|ablations|all>`` runs them from the command line.
+Figures 5–8 of the evaluation (Section V) and the Formula 1 check are one
+parameter sweep each, declared as rows of
+:data:`~repro.experiments.sweep.FIGURES` and run by
+:func:`~repro.experiments.sweep.run_sweep`, which returns structured rows;
+:mod:`repro.experiments.report` renders them as the tables recorded in
+``EXPERIMENTS.md``.  The beyond-paper studies (ablations, robustness,
+soak, overload, scaling) have a module each.  ``python -m
+repro.experiments <fig5|fig6|fig7|fig8|model|ablations|...|all>`` runs
+them from the command line.
 
 Scales
 ------
@@ -13,8 +17,8 @@ The paper's defaults are ``N = 1000`` peers and ``n = 10^5`` items
 sweep takes minutes, every experiment accepts an
 :class:`~repro.experiments.harness.ExperimentScale`; the ``small`` preset
 keeps the workload *shape* (``o = 10·n/N`` instances per peer, same ρ and
-α defaults) at a fraction of the size and is what the benchmark suite
-uses.  EXPERIMENTS.md records paper-scale runs.
+α defaults) at a fraction of the size and is what the test suite uses.
+EXPERIMENTS.md records paper-scale runs.
 """
 
 from repro.experiments.harness import (
@@ -23,22 +27,15 @@ from repro.experiments.harness import (
     TrialSetup,
     build_trial,
 )
-from repro.experiments.fig5 import Fig5Row, run_figure5
-from repro.experiments.fig6 import Fig6Row, run_figure6
-from repro.experiments.fig7 import Fig7Row, run_figure7
-from repro.experiments.fig8 import Fig8Row, run_figure8
+from repro.experiments.sweep import FIGURES, Sweep, SweepRow, run_sweep
 
 __all__ = [
     "ExperimentScale",
-    "Fig5Row",
-    "Fig6Row",
-    "Fig7Row",
-    "Fig8Row",
+    "FIGURES",
     "PaperDefaults",
+    "Sweep",
+    "SweepRow",
     "TrialSetup",
     "build_trial",
-    "run_figure5",
-    "run_figure6",
-    "run_figure7",
-    "run_figure8",
+    "run_sweep",
 ]

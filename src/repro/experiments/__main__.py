@@ -17,90 +17,30 @@ import argparse
 import json
 import sys
 import time
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
 from repro.experiments.ablations import run_all_ablations
-from repro.experiments.fig5 import predicted_optimal_g, run_figure5
-from repro.experiments.fig6 import predicted_optimal_f, run_figure6
-from repro.experiments.fig7 import run_figure7
-from repro.experiments.fig8 import run_figure8
 from repro.experiments.harness import ExperimentScale, flush_traces, set_trace_dir
 from repro.experiments.report import render_rows, render_table
+from repro.experiments.sweep import FIGURES, Sweep, run_sweep
 
 RowsByTable = dict[str, list[dict[str, Any]]]
 
 
-def _fig5(scale: ExperimentScale, seed: int, jobs: int = 1) -> RowsByTable:
-    rows = run_figure5(scale, seed, jobs=jobs)
-    print(render_rows(rows, title=f"Figure 5 — effect of filter size g (f=3, {scale.name})"))
-    predicted = predicted_optimal_g(scale, seed)
-    print(f"\nFormula 3 predicted g_opt = {predicted}")
-    best = min(rows, key=lambda row: row.total_cost)
-    print(f"Measured minimum total cost at g = {best.filter_size}")
-    return {"fig5": [row.as_dict() for row in rows]}
+def _sweep(sweep: Sweep, args: argparse.Namespace, scale: ExperimentScale) -> RowsByTable:
+    rows = run_sweep(sweep, scale, args.seed, jobs=args.jobs)
+    title = sweep.title.format(scale=scale.name, config=sweep.configs_at(scale)[0])
+    print(render_rows(rows, title=title))
+    if sweep.footer is not None:
+        print(sweep.footer(scale, args.seed, rows))
+    return {sweep.table: [row.as_dict() for row in rows]}
 
 
-def _fig6(scale: ExperimentScale, seed: int, jobs: int = 1) -> RowsByTable:
-    rows = run_figure6(scale, seed, jobs=jobs)
-    print(render_rows(rows, title=f"Figure 6 — effect of number of filters f (g=100, {scale.name})"))
-    predicted = predicted_optimal_f(scale, seed)
-    print(f"\nFormula 6 predicted f_opt = {predicted}")
-    best = min(rows, key=lambda row: row.total_cost)
-    print(f"Measured minimum total cost at f = {best.num_filters}")
-    return {"fig6": [row.as_dict() for row in rows]}
-
-
-def _fig7(scale: ExperimentScale, seed: int, jobs: int = 1) -> RowsByTable:
-    num_filters = 5 if scale.n_items >= 1_000_000 else 3
-    rows = run_figure7(scale, seed, num_filters=num_filters, jobs=jobs)
-    print(
-        render_rows(
-            rows,
-            title=(
-                f"Figure 7 — effect of data skewness (g=100, f={num_filters}, "
-                f"{scale.name}): netFilter vs naive"
-            ),
-        )
-    )
-    return {"fig7": [row.as_dict() for row in rows]}
-
-
-def _fig8(scale: ExperimentScale, seed: int, jobs: int = 1) -> RowsByTable:
-    rows = run_figure8(scale, seed, jobs=jobs)
-    print(
-        render_rows(
-            rows,
-            title=f"Figure 8 — effect of threshold ratio ({scale.name}): cost vs skew",
-        )
-    )
-    return {"fig8": [row.as_dict() for row in rows]}
-
-
-def _model(scale: ExperimentScale, seed: int, jobs: int = 1) -> RowsByTable:
-    # Model validation shares one trial across its sweep, so it stays
-    # sequential regardless of --jobs.
-    del jobs
-    from repro.experiments.model_validation import run_model_validation
-
-    rows = run_model_validation(scale, seed)
-    print(
-        render_rows(
-            rows,
-            title=(
-                f"Cost model validation — Formula 1 predicted vs measured "
-                f"({scale.name})"
-            ),
-        )
-    )
-    worst = max(row.filtering_error for row in rows)
-    print(f"\nWorst filtering-term prediction error: {100 * worst:.2f}%")
-    return {"model_validation": [row.as_dict() for row in rows]}
-
-
-def _robustness(scale: ExperimentScale, seed: int, jobs: int = 1) -> RowsByTable:
+def _robustness(args: argparse.Namespace, scale: ExperimentScale) -> RowsByTable:
     from repro.experiments.robustness import run_robustness
 
-    rows = run_robustness(scale, seed, jobs=jobs)
+    rows = run_robustness(scale, args.seed, jobs=args.jobs)
     print(
         render_table(
             [row.as_dict() for row in rows],
@@ -113,20 +53,20 @@ def _robustness(scale: ExperimentScale, seed: int, jobs: int = 1) -> RowsByTable
     return {"robustness": [row.as_dict() for row in rows]}
 
 
-def _ablations(scale: ExperimentScale, seed: int, jobs: int = 1) -> RowsByTable:
+def _ablations(args: argparse.Namespace, scale: ExperimentScale) -> RowsByTable:
     collected: RowsByTable = {}
-    for title, rows in run_all_ablations(scale, seed, jobs=jobs).items():
+    for title, rows in run_all_ablations(scale, args.seed, jobs=args.jobs).items():
         print(render_table([row.as_dict() for row in rows], title=f"Ablation — {title}"))
         print()
         collected[f"ablation: {title}"] = [row.as_dict() for row in rows]
     return collected
 
 
-def _soak(scale: ExperimentScale, seed: int, jobs: int = 1) -> RowsByTable:
-    # One long-lived service run; inherently sequential.
-    del jobs
+def _soak(args: argparse.Namespace, scale: ExperimentScale) -> RowsByTable:
+    # One long-lived service run; inherently sequential, so --jobs is unused.
     from repro.experiments.soak import SoakConfig, run_soak
 
+    seed = args.seed
     config = SoakConfig.smoke(seed) if scale.name == "small" else SoakConfig.full(seed)
     result = run_soak(config)
     stride = max(1, len(result.rows) // 25)
@@ -145,11 +85,11 @@ def _soak(scale: ExperimentScale, seed: int, jobs: int = 1) -> RowsByTable:
     return {"soak": result.rows, "soak_summary": [result.summary]}
 
 
-def _overload(scale: ExperimentScale, seed: int, jobs: int = 1) -> RowsByTable:
-    # One long-lived front-door run; inherently sequential.
-    del jobs
+def _overload(args: argparse.Namespace, scale: ExperimentScale) -> RowsByTable:
+    # One long-lived front-door run; inherently sequential, so --jobs is unused.
     from repro.experiments.overload import OverloadConfig, run_overload
 
+    seed = args.seed
     config = (
         OverloadConfig.smoke(seed) if scale.name == "small" else OverloadConfig.full(seed)
     )
@@ -170,17 +110,11 @@ def _overload(scale: ExperimentScale, seed: int, jobs: int = 1) -> RowsByTable:
     return {"overload": result.round_rows, "overload_summary": [result.summary]}
 
 
-#: Engine/shard selection for the `scaling` command, set by main() from
-#: --engine/--shards before dispatch (handlers share one signature).
-_SCALING_OPTS = {"engine": "vec", "shards": 1}
-
-
-def _scaling(scale: ExperimentScale, seed: int, jobs: int = 1) -> RowsByTable:
+def _scaling(args: argparse.Namespace, scale: ExperimentScale) -> RowsByTable:
     from repro.experiments.scaling import run_scaling
 
-    engine = str(_SCALING_OPTS["engine"])
-    shards = int(_SCALING_OPTS["shards"])
-    rows = run_scaling(scale, seed, engine=engine, shards=shards, jobs=jobs)
+    engine, shards = args.engine, args.shards
+    rows = run_scaling(scale, args.seed, engine=engine, shards=shards, jobs=args.jobs)
     print(
         render_table(
             [row.as_dict() for row in rows],
@@ -197,12 +131,9 @@ def _scaling(scale: ExperimentScale, seed: int, jobs: int = 1) -> RowsByTable:
     return {"scaling": [row.as_dict() for row in rows]}
 
 
-COMMANDS = {
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "model": _model,
+#: Every command's handler: (parsed args, scale) -> tables, in `all` order.
+COMMANDS: dict[str, Callable[[argparse.Namespace, ExperimentScale], RowsByTable]] = {
+    **{name: partial(_sweep, sweep) for name, sweep in FIGURES.items()},
     "ablations": _ablations,
     "robustness": _robustness,
     "soak": _soak,
@@ -282,18 +213,17 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    _SCALING_OPTS["engine"] = args.engine
-    _SCALING_OPTS["shards"] = args.shards
     scale = ExperimentScale.by_name(args.scale)
     selected = list(COMMANDS) if args.experiment == "all" else [args.experiment]
-    jobs = args.jobs
-    if args.trace_dir and jobs > 1:
+    if args.trace_dir and args.jobs > 1:
         # Per-trial traces are collected from in-process globals; pool
         # workers cannot populate them, so tracing forces sequential runs.
         print("--trace-dir requires sequential execution; ignoring --jobs", file=sys.stderr)
-        jobs = 1
+        args.jobs = 1
     if args.trace_spans and not args.trace_dir:
         parser.error("--trace-spans requires --trace-dir")
+    if args.trace_sample < 1:
+        parser.error("--trace-sample must be at least 1")
     if args.trace_dir:
         set_trace_dir(
             args.trace_dir, sample_every=args.trace_sample, spans=args.trace_spans
@@ -309,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
         for name in selected:
             # Progress line for humans; wall time never enters results.
             started = time.perf_counter()  # repro-lint: disable=DET001
-            exported["tables"].update(COMMANDS[name](scale, args.seed, jobs))
+            exported["tables"].update(COMMANDS[name](args, scale))
             elapsed = time.perf_counter() - started  # repro-lint: disable=DET001
             print(f"\n[{name} completed in {elapsed:.1f}s]\n")
             if args.trace_dir:

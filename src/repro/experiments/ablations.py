@@ -17,7 +17,7 @@ Four studies, each isolating one design decision that DESIGN.md calls out:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -195,42 +195,26 @@ def ablation_topology(
 ) -> list[AblationRow]:
     """netFilter cost across overlay families at one workload."""
     scale = scale or ExperimentScale.small()
-    defaults = PaperDefaults()
+    families: dict[str, Callable[[int, np.random.Generator], Topology] | None] = {
+        "random": None,
+        "regular": lambda n, rng: Topology.random_regular(n, 4, rng),
+        "small-world": lambda n, rng: Topology.small_world(n, 4, 0.2, rng),
+        "scale-free": lambda n, rng: Topology.scale_free(n, 2, rng),
+        "tree": lambda n, rng: Topology.balanced_tree(n, PaperDefaults.branching),
+    }
     rows = []
-    for label in ("random", "regular", "small-world", "scale-free", "tree"):
-        sim = Simulation(seed=seed)
-        rng = sim.rng.stream("topology")
-        n_peers = scale.n_peers
-        if label == "random":
-            topology = Topology.random_connected(n_peers, 4.0, rng)
-        elif label == "regular":
-            topology = Topology.random_regular(n_peers, 4, rng)
-        elif label == "small-world":
-            topology = Topology.small_world(n_peers, 4, 0.2, rng)
-        elif label == "scale-free":
-            topology = Topology.scale_free(n_peers, 2, rng)
-        else:
-            topology = Topology.balanced_tree(n_peers, defaults.branching)
-        network = Network(sim, topology, size_model=defaults.size_model)
-        workload = Workload.zipf(
-            n_items=scale.n_items,
-            n_peers=n_peers,
-            skew=defaults.skew,
-            rng=sim.rng.stream("workload"),
-        )
-        network.assign_items(workload.item_sets)
-        hierarchy = Hierarchy.build(network, root=0)
-        engine = AggregationEngine(hierarchy)
+    for label, family in families.items():
+        trial = build_trial(scale, seed=seed, topology=family)
         config = NetFilterConfig(
             filter_size=100, num_filters=3,
-            threshold_ratio=defaults.threshold_ratio,
+            threshold_ratio=trial.defaults.threshold_ratio,
         )
-        result = NetFilter(config).run(engine)
+        result = NetFilter(config).run(trial.engine)
         rows.append(
             AblationRow(
                 label=label,
                 metrics={
-                    "height": float(hierarchy.height()),
+                    "height": float(trial.hierarchy_height),
                     "total B/peer": result.breakdown.total,
                     "frequent": float(len(result.frequent)),
                 },
@@ -312,23 +296,15 @@ def ablation_gossip_netfilter(
         NetFilterConfig(filter_size=100, num_filters=3, threshold_ratio=ratio)
     ).run(trial.engine)
 
-    # A fresh, identical network (no hierarchy, no control traffic).
-    gossip_trial_sim = Simulation(seed=seed)
-    topology = Topology.random_connected(
-        scale.n_peers, 4.0, gossip_trial_sim.rng.stream("topology")
-    )
-    network = Network(gossip_trial_sim, topology)
-    workload = Workload.zipf(
-        scale.n_items, scale.n_peers, 1.0, gossip_trial_sim.rng.stream("workload")
-    )
-    network.assign_items(workload.item_sets)
-    started = gossip_trial_sim.now
+    # A fresh, identical system; gossip ignores its hierarchy.
+    network = build_trial(scale, seed=seed).network
+    started = network.sim.now
     gossip_result = GossipNetFilter(
         GossipNetFilterConfig(
             filter_size=100, num_filters=3, threshold_ratio=ratio, rounds=60
         )
     ).run(network, requester=0)
-    gossip_elapsed = gossip_trial_sim.now - started
+    gossip_elapsed = network.sim.now - started
     truth = oracle_frequent_items(network, gossip_result.threshold)
     missed = sum(1 for item in truth.ids if item not in gossip_result.reported)
     return [
@@ -473,20 +449,12 @@ def ablation_header_overhead(
     scale = scale or ExperimentScale.small()
     rows = []
     for header in (0, 40):
-        sim = Simulation(seed=seed)
-        topology = Topology.random_connected(
-            scale.n_peers, 4.0, sim.rng.stream("topology")
+        trial = build_trial(
+            scale, seed=seed, defaults=PaperDefaults(size_model=SizeModel(header_bytes=header))
         )
-        network = Network(sim, topology, size_model=SizeModel(header_bytes=header))
-        workload = Workload.zipf(
-            scale.n_items, scale.n_peers, 1.0, sim.rng.stream("workload")
-        )
-        network.assign_items(workload.item_sets)
-        hierarchy = Hierarchy.build(network, root=0)
-        engine = AggregationEngine(hierarchy)
         config = NetFilterConfig(filter_size=100, num_filters=3, threshold_ratio=0.01)
-        net_result = NetFilter(config).run(engine)
-        naive_result = NaiveProtocol(config).run(engine)
+        net_result = NetFilter(config).run(trial.engine)
+        naive_result = NaiveProtocol(config).run(trial.engine)
         rows.append(
             AblationRow(
                 f"header={header}B",

@@ -3,7 +3,7 @@
 :class:`PaperDefaults` pins the constants of the paper's Table III;
 :func:`build_trial` assembles a complete simulated system (topology →
 network → workload → hierarchy → aggregation engine) from a scale and a
-seed, so every figure module is a parameter sweep over ready-made trials.
+seed, so every experiment is a parameter sweep over ready-made trials.
 """
 
 from __future__ import annotations
@@ -11,6 +11,9 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field, replace
+from typing import Callable
+
+import numpy as np
 
 from repro.aggregation.hierarchical import AggregationEngine
 from repro.hierarchy.builder import Hierarchy
@@ -157,14 +160,17 @@ def build_trial(
     trace_path: str | None = None,
     trace_sample_every: int = 1,
     trace_spans: bool = False,
+    topology: Callable[[int, np.random.Generator], Topology] | None = None,
 ) -> TrialSetup:
     """Assemble a trial: overlay, network, Zipf workload, hierarchy, engine.
 
     The overlay is a connected random graph with mean degree
     ``branching + 1`` so the BFS hierarchy's mean downstream fan-out lands
     near the paper's ``b`` (each non-root peer consumes one edge for its
-    parent).  The root is peer 0 — the paper selects a root at random, and
-    under a seeded random topology peer 0 *is* a random peer.
+    parent); ``topology(n_peers, rng)`` builds another family from the
+    trial's ``topology`` stream instead.  The root is peer 0 — the paper
+    selects a root at random, and under a seeded random topology peer 0
+    *is* a random peer.
 
     ``trace_path`` streams the trial's telemetry to that JSONL file (close
     it via :meth:`TrialSetup.finish_trace`); when a trace directory is set
@@ -187,10 +193,13 @@ def build_trial(
         sim.telemetry.attach_jsonl(trace_path, sample_every=trace_sample_every)
         if trace_spans:
             sim.telemetry.enable_spans(sample_every=trace_sample_every)
-    topology = Topology.random_connected(
-        base.n_peers, float(base.branching + 1), sim.rng.stream("topology")
+    rng = sim.rng.stream("topology")
+    overlay = (
+        topology(base.n_peers, rng)
+        if topology is not None
+        else Topology.random_connected(base.n_peers, float(base.branching + 1), rng)
     )
-    network = Network(sim, topology, size_model=base.size_model)
+    network = Network(sim, overlay, size_model=base.size_model)
     workload = Workload.zipf(
         n_items=base.n_items,
         n_peers=base.n_peers,

@@ -1,45 +1,43 @@
-"""Tests for the Formula-1 model-validation experiment."""
+"""Tests for the Formula-1 model-validation sweep."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
 from repro.experiments.harness import ExperimentScale
-from repro.experiments.model_validation import run_model_validation
+from repro.experiments.sweep import FIGURES, run_sweep
 
 SMALL = ExperimentScale.small()
 
 
 @pytest.fixture(scope="module")
 def rows():
-    return run_model_validation(SMALL, seed=0, g_values=(50, 100, 200))
+    return run_sweep(replace(FIGURES["model"], values=(50, 100, 200)), SMALL, seed=0)
 
 
 def test_filtering_prediction_is_exact(rows):
     for row in rows:
-        assert row.filtering_error < 1e-9
+        assert abs(row["filt meas"] - row["filt pred"]) / row["filt pred"] < 1e-9
 
 
 def test_dissemination_prediction_is_exact(rows):
     for row in rows:
-        assert row.measured_dissemination == pytest.approx(
-            row.predicted_dissemination
-        )
+        assert row["diss meas"] == pytest.approx(row["diss pred"])
 
 
 def test_aggregation_bound_holds(rows):
     for row in rows:
-        assert row.measured_aggregation <= row.aggregation_bound
-        assert row.measured_aggregation > 0
+        assert row["aggr meas"] <= row["aggr bound"]
+        assert row["aggr meas"] > 0
 
 
 def test_bound_tightens_as_filtering_improves(rows):
     # Larger g -> surviving candidates are the globally-popular items held
     # at nearly every peer -> the every-candidate-at-every-peer bound gets
     # closer to reality.
-    slack = [
-        row.measured_aggregation / row.aggregation_bound for row in rows
-    ]
+    slack = [row["aggr meas"] / row["aggr bound"] for row in rows]
     assert slack[-1] > slack[0]
 
 

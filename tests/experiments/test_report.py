@@ -69,6 +69,18 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig5", "--scale", "galactic"])
 
+    def test_trace_sample_below_one_rejected(self, tmp_path, capsys):
+        import pytest
+
+        from repro.experiments.__main__ import main
+
+        for sample in ("0", "-3"):
+            argv = ["fig5", "--trace-dir", str(tmp_path), "--trace-sample", sample]
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert "--trace-sample must be at least 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_fig6_and_fig7_commands_run(self, capsys):
         from repro.experiments.__main__ import main
 
