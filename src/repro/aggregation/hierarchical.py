@@ -27,14 +27,18 @@ answers a duplicate request by re-sending its stored reply).
 The engine installs one :class:`AggregationService` per participant and
 multiplexes any number of concurrent sessions over them (needed both for
 netFilter's two phases and for Section III-A.1's concurrent-request
-sharing).
+sharing).  A session's per-node state lives only as long as something can
+still touch it: once the session is *quiescent* — none of its messages on
+the wire, none of its reliable sends unacknowledged, none of its child
+timeouts armed — every node's state for it is dropped (see
+:class:`_Session`, and docs/ROBUSTNESS.md, "Bounded state").
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, cast
 
 from repro.aggregation.spec import AggregateSpec
 from repro.errors import AggregationError
@@ -59,12 +63,18 @@ class AggRequestPayload(Payload):
     not priced in the base payload (the paper's cost model covers the
     request data only); :class:`CoverageAggReplyPayload` prices the
     hardened engine's metadata honestly on the reply path.
+
+    The root builds one request per session and every node forwards the
+    object it received, so its size is priced once per session.
+    ``ledger`` is the engine's record of the session (:class:`_Session`),
+    which the transport holds while a copy is on the wire.
     """
 
     session_id: int
     spec: AggregateSpec
     request_data: Any
     generation: int = 0
+    ledger: _Session | None = field(default=None, repr=False)
 
     @property
     def category(self) -> CostCategory:  # type: ignore[override]
@@ -83,7 +93,8 @@ class AggReplyPayload(Payload):
     ``value`` (the sender plus its merged descendants).  The base payload
     does not price the counter — the paper's cost model covers the
     aggregate value only; :class:`CoverageAggReplyPayload` (used by
-    hardened engines) charges it honestly.
+    hardened engines) charges it honestly.  ``ledger`` is as on the
+    request.
     """
 
     session_id: int
@@ -91,6 +102,7 @@ class AggReplyPayload(Payload):
     value: Any
     covered: int = 1
     generation: int = 0
+    ledger: _Session | None = field(default=None, repr=False)
 
     @property
     def category(self) -> CostCategory:  # type: ignore[override]
@@ -153,14 +165,57 @@ class SessionHandle:
         self.covered = covered
 
 
+class _Session:
+    """The engine's record of one session, kept while anything can reach it.
+
+    ``outstanding`` counts what can: every copy of the session's payloads
+    on the wire and every reliable send of one not yet acknowledged or
+    given up (the transport holds and settles these through the payload's
+    ``ledger``), every armed child timeout, and one unit while
+    :meth:`AggregationEngine.start` runs.  At zero the session is
+    *quiescent*: no delivery and no timer can reach it again, so every
+    node's state for it is dropped.  Waiting for quiescence, not for the
+    root's answer, is what keeps late work exact: a node whose parent
+    already gave up on it still times out and replies (its contribution
+    may have side effects, e.g. a continuous epoch's staged delta), and a
+    re-probe still in flight is still answered from the stored reply.
+    ``closed`` turns any copy that outlived the session into a no-op.
+    """
+
+    __slots__ = ("engine", "handle", "members", "outstanding", "closed")
+
+    def __init__(self, engine: AggregationEngine, handle: SessionHandle) -> None:
+        self.engine = engine
+        self.handle = handle
+        #: Services holding a state for the session; a peer that crashed
+        #: and revived mid-session can appear twice (old and new service).
+        self.members: list[AggregationService] = []
+        self.outstanding = 0
+        self.closed = False
+
+    def hold(self) -> None:
+        self.outstanding += 1
+
+    def settle(self) -> None:
+        self.outstanding -= 1
+        if self.outstanding or self.closed:
+            return
+        self.closed = True
+        session_id = self.handle.session_id
+        for service in self.members:
+            del service._sessions[session_id]
+        self.members.clear()
+        del self.engine._open[session_id]
+
+
 @dataclass
 class _NodeSessionState:
-    """Per-node bookkeeping for one in-flight session."""
+    """Per-node bookkeeping for one session, dropped once it is quiescent."""
 
-    spec: AggregateSpec
-    request_data: Any
+    #: The request as this node received it (the root builds it): spec,
+    #: request data, generation and session, forwarded unchanged.
+    request: AggRequestPayload
     parent: int | None
-    generation: int = 0
     waiting_on: set[int] = field(default_factory=set)
     received: list[Any] = field(default_factory=list)
     received_covered: list[int] = field(default_factory=list)
@@ -183,6 +238,7 @@ class AggregationService:
     def __init__(self, engine: "AggregationEngine", node: Node) -> None:
         self._engine = engine
         self._node = node
+        #: This node's state in every session that is not yet quiescent.
         self._sessions: dict[int, _NodeSessionState] = {}
         node.register_handler(engine.request_cls, self._handle_request)
         node.register_handler(engine.reply_cls, self._handle_reply)
@@ -202,25 +258,13 @@ class AggregationService:
             local_generation=self._engine.hierarchy.generation_of(self._node.peer_id),
         ):
             return
-        self.begin_session(
-            payload.session_id,
-            payload.spec,
-            payload.request_data,
-            parent=message.sender,
-            generation=payload.generation,
-        )
+        self.begin_session(payload, parent=message.sender)
 
-    def begin_session(
-        self,
-        session_id: int,
-        spec: AggregateSpec,
-        request_data: Any,
-        parent: int | None,
-        generation: int = 0,
-    ) -> None:
+    def begin_session(self, request: AggRequestPayload, parent: int | None) -> None:
         """Join a session: forward the request to children, then reply once
         every child answered (or timed out).  Called with ``parent=None``
         on the root by the engine."""
+        session_id = request.session_id
         state = self._sessions.get(session_id)
         if state is not None:
             # Duplicate request: either a transient artefact of repair, or
@@ -228,59 +272,50 @@ class AggregationService:
             # already replied, answer it by re-sending the stored reply;
             # if we are still collecting, the eventual reply answers it.
             if state.replied and parent is not None and parent == state.parent:
-                self._send_reply(session_id, state)
+                self._send_reply(state)
             return
+        session = request.ledger
+        assert session is not None, "requests are built by AggregationEngine.start"
+        if session.closed:
+            return  # joining would re-run contribute for a finished session
         hierarchy = self._engine.hierarchy
         network = self._node.network
+        peer = self._node.peer_id
         children = {
-            child
-            for child in hierarchy.children_of(self._node.peer_id)
-            if network.node(child).alive
+            child for child in hierarchy.children_of(peer) if network.node(child).alive
         }
-        state = _NodeSessionState(
-            spec=spec,
-            request_data=request_data,
-            parent=parent,
-            generation=generation,
-            waiting_on=children,
-        )
+        state = _NodeSessionState(request=request, parent=parent, waiting_on=children)
         self._sessions[session_id] = state
+        session.members.append(self)
         # The convergecast span parents to the causal context that started
         # it: the session span on the root, the delivering request's wire
         # span elsewhere.  It closes in _reply (or via the crash sweep /
         # shutdown sweep if this node never gets to reply).
-        spans = network.sim.telemetry.spans
-        state.span = spans.open(
-            "agg.node",
-            peer=self._node.peer_id,
-            session=session_id,
-            depth=hierarchy.depth_of(self._node.peer_id),
-        )
-        previous = spans.activate(state.span) if state.span else 0
-        if children:
-            request = self._engine.request_cls(
-                session_id=session_id,
-                spec=spec,
-                request_data=request_data,
-                generation=state.generation,
+        sim = network.sim
+        spans = sim.telemetry.spans
+        previous = 0
+        if spans.enabled and sim.trace.active:
+            state.span = spans.open(
+                "agg.node", peer=peer, session=session_id, depth=hierarchy.depth_of(peer)
             )
+            previous = spans.activate(state.span)
+        if children:
             for child in sorted(children):
                 self._node.send(child, request)
             # Stagger deadlines by depth: a node's patience must exceed its
             # children's, or parents give up while their subtrees are still
             # (legitimately) collecting and the partial results are lost.
-            own_depth = min(
-                max(hierarchy.depth_of(self._node.peer_id), 0), network.n_peers
-            )
+            own_depth = min(max(hierarchy.depth_of(peer), 0), network.n_peers)
             duration = self._engine.child_timeout / (own_depth + 1)
             state.timeout = Timeout(
-                network.sim,
+                sim,
                 duration,
                 lambda sid=session_id: self._give_up_waiting(sid),
             )
             state.timeout.reset()
+            session.hold()  # the armed timeout; _reply settles it
         else:
-            self._reply(session_id)
+            self._reply(state)
         if state.span:
             spans.restore(previous)
 
@@ -310,7 +345,7 @@ class AggregationService:
         if not state.waiting_on:
             if state.timeout is not None:
                 state.timeout.cancel()
-            self._reply(payload.session_id)
+            self._reply(state)
 
     def _give_up_waiting(self, session_id: int) -> None:
         state = self._sessions.get(session_id)
@@ -332,18 +367,12 @@ class AggregationService:
                 missing=len(state.waiting_on),
             )
             sim.telemetry.registry.counter("aggregation.reprobes").inc()
-            request = self._engine.request_cls(
-                session_id=session_id,
-                spec=state.spec,
-                request_data=state.request_data,
-                generation=state.generation,
-            )
             # Re-probe copies are caused by this node's convergecast span
             # (the timer fired outside any delivery context).
             spans = sim.telemetry.spans
             previous = spans.activate(state.span) if state.span else 0
             for child in sorted(state.waiting_on):
-                self._node.send(child, request)
+                self._node.send(child, state.request)
             if state.span:
                 spans.restore(previous)
             assert state.timeout is not None
@@ -356,13 +385,14 @@ class AggregationService:
             session=session_id,
             missing=len(state.waiting_on),
         )
-        self._reply(session_id)
+        self._reply(state)
 
-    def _reply(self, session_id: int) -> None:
-        state = self._sessions[session_id]
+    def _reply(self, state: _NodeSessionState) -> None:
         state.replied = True
-        own = state.spec.contribute(self._node, state.request_data)
-        value = state.spec.combiner.combine_many([own, *state.received])
+        request = state.request
+        spec = request.spec
+        own = spec.contribute(self._node, request.request_data)
+        value = spec.combiner.combine_many([own, *state.received])
         covered = 1 + sum(state.received_covered)
         state.reply_value = value
         state.reply_covered = covered
@@ -377,10 +407,12 @@ class AggregationService:
             # own span is already current: no separate input caused it.
             cause = 0
         previous = spans.activate(state.span) if state.span else 0
+        session = request.ledger
+        assert session is not None
         if state.parent is None:
-            self._engine._complete(session_id, value, covered)
+            self._engine._complete(session.handle, value, covered)
         else:
-            self._send_reply(session_id, state)
+            self._send_reply(state)
         if state.span:
             spans.restore(previous)
             spans.close(
@@ -388,20 +420,24 @@ class AggregationService:
             )
         # Free the merged child contributions; keep the entry (and the
         # combined reply) so duplicate requests stay idempotent and
-        # re-probes can be answered.
+        # re-probes can be answered until the session is quiescent.
         state.received.clear()
         state.received_covered.clear()
+        if state.timeout is not None:
+            session.settle()  # the timeout is disarmed: cancelled, or it fired
 
-    def _send_reply(self, session_id: int, state: _NodeSessionState) -> None:
+    def _send_reply(self, state: _NodeSessionState) -> None:
         assert state.parent is not None
+        request = state.request
         self._node.send(
             state.parent,
             self._engine.reply_cls(
-                session_id=session_id,
-                spec=state.spec,
+                session_id=request.session_id,
+                spec=request.spec,
                 value=state.reply_value,
                 covered=state.reply_covered,
-                generation=state.generation,
+                generation=request.generation,
+                ledger=request.ledger,
             ),
         )
 
@@ -447,14 +483,16 @@ class AggregationEngine:
         # Engines over differently-tagged hierarchies (Section III-A.1's
         # redundant hierarchies) use distinct payload types so their
         # sessions never collide in the node dispatch tables.
-        self.request_cls = tagged(AggRequestPayload, hierarchy.tag)
+        self.request_cls = cast(
+            "type[AggRequestPayload]", tagged(AggRequestPayload, hierarchy.tag)
+        )
         reply_base: type[AggReplyPayload] = (
             CoverageAggReplyPayload if hardened else AggReplyPayload
         )
-        self.reply_cls = tagged(reply_base, hierarchy.tag)
+        self.reply_cls = cast("type[AggReplyPayload]", tagged(reply_base, hierarchy.tag))
         self._session_ids = itertools.count(1)
-        self._handles: dict[int, SessionHandle] = {}
-        self._callbacks: dict[int, Callable[[Any], None]] = {}
+        #: Sessions not yet quiescent; each leaves when it is (_Session).
+        self._open: dict[int, _Session] = {}
         self._services: dict[int, AggregationService] = {
             peer: AggregationService(self, self.network.node(peer))
             for peer in hierarchy.participants()
@@ -467,12 +505,7 @@ class AggregationEngine:
     # ------------------------------------------------------------------
     # Session API
     # ------------------------------------------------------------------
-    def start(
-        self,
-        spec: AggregateSpec,
-        request_data: Any = None,
-        callback: Callable[[Any], None] | None = None,
-    ) -> SessionHandle:
+    def start(self, spec: AggregateSpec, request_data: Any = None) -> SessionHandle:
         """Begin a session at the root; returns immediately with a handle
         that completes when the root has the global aggregate."""
         if not self.network.node(self.hierarchy.root).alive:
@@ -484,12 +517,11 @@ class AggregationEngine:
         self.sim.trace.emit(
             self.sim.now, "aggregation.start", session=session_id, spec=spec.name
         )
-        self._handles[session_id] = handle
-        if callback is not None:
-            self._callbacks[session_id] = callback
         root_service = self._services.get(self.hierarchy.root)
         if root_service is None:
             raise AggregationError("root has no aggregation service (is it alive?)")
+        session = _Session(self, handle)
+        self._open[session_id] = session
         # The session span parents to whatever phase span is current (the
         # netFilter phase that issued it); it is owned by the root peer so
         # a root crash error-closes it even if the caller never notices.
@@ -501,13 +533,20 @@ class AggregationEngine:
             spec=spec.name,
         )
         previous = spans.activate(handle.span) if handle.span else 0
+        # Held while the root joins: a root without live children answers
+        # synchronously, and the session must not close under it.
+        session.hold()
         root_service.begin_session(
-            session_id,
-            spec,
-            request_data,
+            self.request_cls(
+                session_id=session_id,
+                spec=spec,
+                request_data=request_data,
+                generation=self.hierarchy.generation_of(self.hierarchy.root),
+                ledger=session,
+            ),
             parent=None,
-            generation=self.hierarchy.generation_of(self.hierarchy.root),
         )
+        session.settle()
         if handle.span:
             spans.restore(previous)
         return handle
@@ -619,10 +658,10 @@ class AggregationEngine:
         # No-op if the root's crash sweep already error-closed the span.
         self.sim.telemetry.spans.close(handle.span, status="error", reason=reason)
 
-    def _complete(self, session_id: int, value: Any, covered: int) -> None:
-        handle = self._handles.get(session_id)
-        if handle is None or handle.done:
-            return
+    def _complete(self, handle: SessionHandle, value: Any, covered: int) -> None:
+        if handle.done:
+            return  # the root was already declared lost
+        session_id = handle.session_id
         handle._complete(value, covered)
         sim_elapsed = self.sim.now - handle.started_at
         self.sim.telemetry.registry.timer("aggregation.session_time").observe(
@@ -653,6 +692,20 @@ class AggregationEngine:
         spans.close(
             handle.span, cause=spans.current, covered=covered, expected=handle.expected
         )
-        callback = self._callbacks.pop(session_id, None)
-        if callback is not None:
-            callback(value)
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    def bounded_state(self) -> dict[str, int]:
+        """``len()`` of every container this engine and its transport keep
+        per node, session or message.  Each is bounded by the sessions and
+        traffic in flight, not by how many sessions have run."""
+        services = set(self._services.values())
+        for session in self._open.values():
+            # A peer that crashed mid-session left its old service behind.
+            services.update(session.members)
+        return {
+            "AggregationEngine._open": len(self._open),
+            "AggregationService._sessions": sum(len(s._sessions) for s in services),
+            **self.network.transport.bounded_state(),
+        }

@@ -39,6 +39,7 @@ from repro.core.session import AttemptPlan, below_floor, run_attempt, run_phase
 from repro.core.session import NetFilterResult as NetFilterResult  # re-exported: its public home
 from repro.core.verification import HeavyGroups, materialize_candidates
 from repro.items.itemset import LocalItemSet
+from repro.metrics.registry import HistogramMetric, MetricsRegistry
 from repro.net.node import Node
 from repro.net.wire import CostCategory, SizeModel
 
@@ -78,18 +79,30 @@ def verification_spec(
     the item set a peer verifies against — its current one, or the staged
     (faded / windowed) view a continuous epoch's phase 1 represented."""
 
+    # The histogram of the registry last contributed into: looked up once
+    # per spec and simulation, not once per peer.
+    bound: tuple[MetricsRegistry, HistogramMetric] | None = None
+
     def contribute(node: Node, heavy: HeavyGroups) -> LocalItemSet:
+        nonlocal bound
         partial = materialize_candidates(items_of(node), bank, heavy)
         sim = node.network.sim
-        sim.telemetry.registry.histogram(
-            "netfilter.candidates_per_peer", buckets=(0, 1, 4, 16, 64, 256, 1024)
-        ).observe(len(partial))
-        sim.trace.emit(
-            sim.now,
-            "verify.materialized",
-            peer=node.peer_id,
-            candidates=len(partial),
-        )
+        registry = sim.telemetry.registry
+        if bound is None or bound[0] is not registry:
+            bound = registry, registry.histogram(
+                "netfilter.candidates_per_peer", buckets=(0, 1, 4, 16, 64, 256, 1024)
+            )
+        bound[1].observe(len(partial))
+        trace = sim.trace
+        if trace.active:
+            trace.emit(
+                sim.now,
+                "verify.materialized",
+                peer=node.peer_id,
+                candidates=len(partial),
+            )
+        else:
+            trace.count("verify.materialized")
         return partial
 
     def request_bytes(heavy: HeavyGroups, model: SizeModel) -> int:

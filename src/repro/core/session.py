@@ -308,7 +308,13 @@ def run_attempt(
         span["candidates"] = len(candidates)
         span["frequent"] = len(frequent)
 
-    if stable_over is not None and tuple(network.live_peers()) != stable_over:
+    # A peer that crashed after one phase and revived before the end leaves
+    # the live set unchanged, yet a phase it missed started with fewer live
+    # peers — and counted itself complete without that peer's values.
+    if stable_over is not None and (
+        tuple(network.live_peers()) != stable_over
+        or any(handle.expected != len(stable_over) for handle in handles)
+    ):
         return stopped(MEMBERSHIP_CHANGED)
     coverage = min(handle.coverage for handle in handles)
     breakdown = spent()

@@ -12,8 +12,26 @@ rather than in the transport.
 from __future__ import annotations
 
 import abc
+from typing import Protocol
 
 from repro.net.wire import CostCategory, SizeModel
+
+
+class WireLedger(Protocol):
+    """Counts what the transport still carries for one group of payloads.
+
+    The transport calls :meth:`hold` for every copy of a payload it
+    schedules for delivery (a copy the fault hook drops or the link loses
+    never is) and for every reliable send of it, and :meth:`settle` once
+    for each when it ends: the copy drained — delivered (after the
+    handler returns), dead recipient, unhandled or duplicate — or the
+    send acknowledged or given up.  A count back at zero means no copy of
+    the group can arrive any more.
+    """
+
+    def hold(self) -> None: ...
+
+    def settle(self) -> None: ...
 
 
 class Payload(abc.ABC):
@@ -24,6 +42,11 @@ class Payload(abc.ABC):
 
     #: Accounting bucket for this payload's bytes.
     category: CostCategory = CostCategory.CONTROL
+
+    #: The ledger the transport holds and settles this payload's copies
+    #: against, or ``None`` for untracked traffic.  Bookkeeping only:
+    #: never priced, never on the wire.
+    ledger: WireLedger | None = None
 
     @abc.abstractmethod
     def body_bytes(self, model: SizeModel) -> int:

@@ -155,13 +155,26 @@ class TransportAckPayload(Payload):
 
 
 @dataclass
-class _PendingSend:
-    """Sender-side bookkeeping for one unacknowledged reliable message."""
+class _ReliableSend:
+    """Sender- and receiver-side bookkeeping for one reliable message.
 
+    Kept only while a copy of the message can still arrive: the transport
+    forgets it once it is settled (acknowledged, or given up by its
+    sender) and no copy is left on the wire — after that no duplicate
+    exists for ``delivered`` to suppress.
+    """
+
+    msg_id: int
     sender: int
     recipient: int
     payload: Payload
     attempts: int = 0
+    #: Copies scheduled for delivery and not yet drained.
+    copies: int = 0
+    #: Acknowledged, or abandoned by its sender: no further copies.
+    settled: bool = False
+    #: A copy was dispatched; later copies are duplicates.
+    delivered: bool = False
 
 
 class _Batch:
@@ -172,7 +185,7 @@ class _Batch:
     computed arrival time matches an open batch on the same link are
     appended instead of scheduling their own event.  Draining preserves
     send order, and each entry keeps its own ``(payload, sent_at,
-    msg_id, span)`` so per-message semantics (latency, ACKs, fault
+    reliable send, span)`` so per-message semantics (latency, ACKs, fault
     accounting, causal spans) are untouched — see docs/PERFORMANCE.md
     for the exact transparency boundary.
     """
@@ -180,7 +193,9 @@ class _Batch:
     __slots__ = ("time", "entries")
 
     def __init__(
-        self, time: float, entries: "deque[tuple[Payload, float, int | None, int]]"
+        self,
+        time: float,
+        entries: "deque[tuple[Payload, float, _ReliableSend | None, int]]",
     ) -> None:
         self.time = time
         self.entries = entries
@@ -229,8 +244,7 @@ class Transport:
         "send",
         "_fault_hook",
         "_msg_ids",
-        "_pending",
-        "_delivered_reliable",
+        "_reliable",
         "_bytes_sent",
         "_msgs_in_flight",
         "_latency_hist",
@@ -268,12 +282,13 @@ class Transport:
         self.send = self._transmit if reliability is None else self._send_reliable
         self._fault_hook: FaultHook | None = None
         # Reliable-delivery state: monotonically increasing message ids,
-        # unacknowledged sends, and the receiver-side duplicate filter.
-        # The sets grow with the number of reliable messages in a run —
-        # acceptable for simulation, where runs are finite by construction.
+        # and one record per reliable message a copy of which can still
+        # arrive.  A record is dropped once its send is settled and its
+        # last copy drained, so the table is bounded by the traffic in
+        # flight, not by the length of the run (docs/ROBUSTNESS.md,
+        # "Bounded state").
         self._msg_ids = itertools.count(1)
-        self._pending: dict[int, _PendingSend] = {}
-        self._delivered_reliable: set[int] = set()
+        self._reliable: dict[int, _ReliableSend] = {}
         # Metric handles are resolved once: the send/deliver path updates
         # them with plain attribute math, no registry lookups.
         registry = sim.telemetry.registry
@@ -327,6 +342,14 @@ class Transport:
             self._sim.trace.count("msg.delivered", self._n_delivered)
             self._n_delivered = 0
 
+    def bounded_state(self) -> dict[str, int]:
+        """``len()`` of every container the transport keeps per message
+        or link; each is bounded by the traffic in flight."""
+        return {
+            "Transport._reliable": len(self._reliable),
+            "Transport._batches": len(self._batches),
+        }
+
     # ------------------------------------------------------------------
     # Fault injection
     # ------------------------------------------------------------------
@@ -359,12 +382,14 @@ class Transport:
         """
         if self.reliability is not None and self._is_reliable(payload):
             msg_id = next(self._msg_ids)
-            self._pending[msg_id] = _PendingSend(
-                sender=sender, recipient=recipient, payload=payload
-            )
-            self._attempt(msg_id)
+            pending = _ReliableSend(msg_id, sender, recipient, payload)
+            self._reliable[msg_id] = pending
+            ledger = payload.ledger
+            if ledger is not None:
+                ledger.hold()  # until the send settles, see _settle
+            self._attempt(pending)
             return
-        self._transmit(sender, recipient, payload, msg_id=None)
+        self._transmit(sender, recipient, payload)
 
     def _is_reliable(self, payload: Payload) -> bool:
         assert self.reliability is not None
@@ -374,28 +399,35 @@ class Transport:
             return False
         return payload.category in self.reliability.categories
 
-    def _attempt(self, msg_id: int) -> None:
+    def _attempt(self, pending: _ReliableSend) -> None:
         """One wire copy of a pending reliable message plus its timer."""
         assert self.reliability is not None
-        pending = self._pending[msg_id]
         pending.attempts += 1
         timeout = self.reliability.ack_timeout * (
             self.reliability.backoff_factor ** (pending.attempts - 1)
         )
-        self._sim.post(timeout, self._on_ack_timeout, msg_id)
-        self._transmit(pending.sender, pending.recipient, pending.payload, msg_id)
+        self._sim.post(timeout, self._on_ack_timeout, pending)
+        self._transmit(pending.sender, pending.recipient, pending.payload, pending)
 
-    def _on_ack_timeout(self, msg_id: int) -> None:
-        pending = self._pending.get(msg_id)
-        if pending is None:
+    def _settle(self, pending: _ReliableSend) -> None:
+        """The send is over: acknowledged, or given up by its sender."""
+        pending.settled = True
+        if not pending.copies:
+            del self._reliable[pending.msg_id]
+        ledger = pending.payload.ledger
+        if ledger is not None:
+            ledger.settle()
+
+    def _on_ack_timeout(self, pending: _ReliableSend) -> None:
+        if pending.settled:
             return  # acknowledged in time
         assert self.reliability is not None
         sender_node = self._resolve(pending.sender)
         if sender_node is None or not sender_node.alive:
-            del self._pending[msg_id]  # a crashed sender retransmits nothing
+            self._settle(pending)  # a crashed sender retransmits nothing
             return
         if pending.attempts > self.reliability.max_retransmits:
-            del self._pending[msg_id]
+            self._settle(pending)
             self._retransmit_failures.inc()
             self._sim.trace.emit(
                 self._sim.now,
@@ -415,10 +447,14 @@ class Transport:
             payload_kind=type(pending.payload).__name__,
             attempt=pending.attempts,
         )
-        self._attempt(msg_id)
+        self._attempt(pending)
 
     def _transmit(
-        self, sender: int, recipient: int, payload: Payload, msg_id: int | None = None
+        self,
+        sender: int,
+        recipient: int,
+        payload: Payload,
+        reliable: _ReliableSend | None = None,
     ) -> None:
         """One wire attempt: charge, trace, inject faults, lose, delay."""
         sim = self._sim
@@ -517,6 +553,12 @@ class Transport:
         inflight.value = value
         if value > inflight.max_value:
             inflight.max_value = value
+        # The copy is on the wire now; _deliver_batch settles it.
+        if reliable is not None:
+            reliable.copies += 1
+        ledger = payload.ledger
+        if ledger is not None:
+            ledger.hold()
         # Coalesce same-arrival-instant deliveries on the same link into
         # one scheduled event; entries drain in send order, so each
         # message keeps its exact unbatched delivery time and ordering
@@ -525,9 +567,9 @@ class Transport:
         key = (sender, recipient)
         batch = self._batches.get(key)
         if batch is not None and batch.time == deliver_at:
-            batch.entries.append((payload, sent_at, msg_id, span_sid))
+            batch.entries.append((payload, sent_at, reliable, span_sid))
             return
-        batch = _Batch(deliver_at, deque(((payload, sent_at, msg_id, span_sid),)))
+        batch = _Batch(deliver_at, deque(((payload, sent_at, reliable, span_sid),)))
         self._batches[key] = batch
         # sim.post inlined (delay is never negative here): one scheduling
         # frame per batch is the remaining per-message engine cost.
@@ -577,73 +619,89 @@ class Transport:
         spans_ = self._spans
         entries = batch.entries
         while entries:
-            payload, sent_at, msg_id, span = entries.popleft()
+            payload, sent_at, reliable, span = entries.popleft()
             inflight.value -= 1.0
-            # alive is re-read per entry: an earlier delivery in this very
-            # batch may have crashed the recipient.
-            if node is None or not node.alive:
-                self._count_drop("dead", payload.category)
-                trace.emit(now, "msg.dropped_dead_recipient", recipient=recipient)
-                if span:
-                    spans_.close(span, status="error", reason="dead_recipient")
-                continue
-            if type(payload) is TransportAckPayload:
-                # Transport-internal: complete the pending send, never
-                # dispatch.  Exact type check: isinstance on an ABC
-                # descendant goes through ABCMeta.__instancecheck__,
-                # measurably slow at one call per delivered message.
-                self._pending.pop(payload.msg_id, None)
-                if span:
-                    spans_.close(span)
-                continue
-            if msg_id is not None:
-                # Reliable data: acknowledge every copy (the first ACK may
-                # have been lost), dispatch only the first.  The ACK's own
-                # wire span parents to this delivery's span.
-                if span:
-                    previous = spans_.activate(span)
-                    self._transmit(recipient, sender, TransportAckPayload(msg_id))
-                    spans_.restore(previous)
-                else:
-                    self._transmit(recipient, sender, TransportAckPayload(msg_id))
-                if msg_id in self._delivered_reliable:
-                    self._duplicates.inc()
+            try:
+                # alive is re-read per entry: an earlier delivery in this
+                # very batch may have crashed the recipient.
+                if node is None or not node.alive:
+                    self._count_drop("dead", payload.category)
+                    trace.emit(now, "msg.dropped_dead_recipient", recipient=recipient)
                     if span:
-                        spans_.close(span, duplicate=True)
+                        spans_.close(span, status="error", reason="dead_recipient")
                     continue
-                self._delivered_reliable.add(msg_id)
-            latency = now - sent_at
-            observe(latency)
-            if trace.active:
-                trace.emit(
-                    now,
-                    "msg.delivered",
-                    sender=sender,
-                    recipient=recipient,
-                    latency=latency,
-                )
-            else:
-                self._n_delivered += 1
-            # Inlined Node.deliver (alive was already checked above):
-            # dispatch to the registered handler or trace the orphan.
-            handler = handler_for(type(payload))  # type: ignore[misc]
-            if handler is None:
-                trace.emit(
-                    now,
-                    "msg.unhandled",
-                    peer=recipient,
-                    payload_kind=type(payload).__name__,
-                )
-                if span:
-                    spans_.close(span, status="error", reason="unhandled")
-            elif span:
-                # The delivery's span is the causal context while the
-                # handler runs, so protocol work (and replies) it triggers
-                # parents to this message; it closes when the handler — and
-                # everything synchronous it caused — returns.
-                previous = spans_.activate(span)
-                handler(Message(sender, recipient, payload, sent_at, now, span))
-                spans_.restore(previous)
-                spans_.close(span, latency=latency)
-            else:
-                handler(Message(sender, recipient, payload, sent_at, now))
+                if type(payload) is TransportAckPayload:
+                    # Transport-internal: settle the pending send, never
+                    # dispatch.  Exact type check: isinstance on an ABC
+                    # descendant goes through ABCMeta.__instancecheck__,
+                    # measurably slow at one call per delivered message.
+                    acked = self._reliable.get(payload.msg_id)
+                    if acked is not None and not acked.settled:
+                        self._settle(acked)
+                    if span:
+                        spans_.close(span)
+                    continue
+                if reliable is not None:
+                    # Reliable data: acknowledge every copy (the first ACK
+                    # may have been lost), dispatch only the first.  The
+                    # ACK's own wire span parents to this delivery's span.
+                    ack = TransportAckPayload(reliable.msg_id)
+                    if span:
+                        previous = spans_.activate(span)
+                        self._transmit(recipient, sender, ack)
+                        spans_.restore(previous)
+                    else:
+                        self._transmit(recipient, sender, ack)
+                    if reliable.delivered:
+                        self._duplicates.inc()
+                        if span:
+                            spans_.close(span, duplicate=True)
+                        continue
+                    reliable.delivered = True
+                latency = now - sent_at
+                observe(latency)
+                if trace.active:
+                    trace.emit(
+                        now,
+                        "msg.delivered",
+                        sender=sender,
+                        recipient=recipient,
+                        latency=latency,
+                    )
+                else:
+                    self._n_delivered += 1
+                # Inlined Node.deliver (alive was already checked above):
+                # dispatch to the registered handler or trace the orphan.
+                handler = handler_for(type(payload))  # type: ignore[misc]
+                if handler is None:
+                    trace.emit(
+                        now,
+                        "msg.unhandled",
+                        peer=recipient,
+                        payload_kind=type(payload).__name__,
+                    )
+                    if span:
+                        spans_.close(span, status="error", reason="unhandled")
+                elif span:
+                    # The delivery's span is the causal context while the
+                    # handler runs, so protocol work (and replies) it
+                    # triggers parents to this message; it closes when the
+                    # handler — and everything synchronous it caused —
+                    # returns.
+                    previous = spans_.activate(span)
+                    handler(Message(sender, recipient, payload, sent_at, now, span))
+                    spans_.restore(previous)
+                    spans_.close(span, latency=latency)
+                else:
+                    handler(Message(sender, recipient, payload, sent_at, now))
+            finally:
+                # Whatever became of it, this copy has left the wire — and
+                # only now, after the handler and any sends it made, so a
+                # ledger never reads zero while its group is still active.
+                if reliable is not None:
+                    reliable.copies -= 1
+                    if reliable.settled and not reliable.copies:
+                        del self._reliable[reliable.msg_id]
+                ledger = payload.ledger
+                if ledger is not None:
+                    ledger.settle()

@@ -18,6 +18,7 @@ from repro.hierarchy.builder import Hierarchy
 from repro.items.itemset import LocalItemSet
 from repro.net.network import Network
 from repro.net.overlay import Topology
+from repro.net.transport import DELIVER
 from repro.net.wire import CostCategory
 from repro.sim.engine import Simulation
 
@@ -151,12 +152,47 @@ def test_concurrent_sessions_do_not_interfere():
     assert handle_b.value == 6
 
 
-def test_callback_invoked_on_completion():
-    engine = make_engine(Topology.star(4))
-    seen = []
-    engine.start(scalar_spec(), callback=seen.append)
+def test_quiescent_session_leaves_no_state():
+    engine = make_engine(Topology.line(6))
+    handle = engine.start(scalar_spec())
+    assert engine.bounded_state()["AggregationEngine._open"] == 1
     engine.sim.run()
-    assert seen == [6]
+    assert handle.value == sum(range(6))
+    assert set(engine.bounded_state().values()) == {0}
+
+
+def test_copies_and_timers_of_a_closed_session_change_nothing():
+    """Nothing of a session can still arrive once it is closed; replaying
+    its request and replies and firing its child timeouts anyway touches
+    no state and re-runs no contribution."""
+    contributed = []
+    spec = AggregateSpec(
+        name="counted",
+        combiner=ScalarSumCombiner(),
+        contribute=lambda node, _: contributed.append(node.peer_id) or node.peer_id,
+        up_category=CostCategory.CONTROL,
+    )
+    engine = make_engine(Topology.line(3))
+    transport = engine.network.transport
+    copies = []
+    transport.set_fault_hook(lambda *copy: (copies.append(copy), (DELIVER, 0.0))[1])
+    handle = engine.start(spec)
+    engine.sim.run()
+    transport.set_fault_hook(None)
+    assert handle.value == 0 + 1 + 2
+    assert len(copies) == 4  # two requests down, two replies up
+    counters = engine.sim.trace.counters
+    before = {kind: n for kind, n in counters.items() if kind.startswith("aggregation.")}
+    for sender, recipient, payload in copies:
+        engine.network.node(sender).send(recipient, payload)
+    for service in engine._services.values():
+        service._give_up_waiting(handle.session_id)
+    engine.sim.run()
+    assert sorted(contributed) == [0, 1, 2]
+    assert handle.value == 0 + 1 + 2
+    after = {kind: n for kind, n in counters.items() if kind.startswith("aggregation.")}
+    assert after == before
+    assert set(engine.bounded_state().values()) == {0}
 
 
 def test_child_timeout_yields_partial_aggregate():

@@ -12,7 +12,17 @@ from hypothesis import strategies as st
 from repro.aggregation.combiners import ScalarSumCombiner
 from repro.aggregation.hierarchical import SessionHandle
 from repro.aggregation.spec import AggregateSpec
-from repro.core.session import DEADLINE, backoff, below_floor, supervise
+from repro.core.config import NetFilterConfig
+from repro.core.netfilter import one_shot_plan
+from repro.core.session import (
+    DEADLINE,
+    MEMBERSHIP_CHANGED,
+    backoff,
+    below_floor,
+    run_attempt,
+    run_phase,
+    supervise,
+)
 from repro.errors import ConfigurationError
 from repro.net.wire import CostCategory
 from repro.sim.engine import Simulation
@@ -167,3 +177,29 @@ def test_the_first_attempt_runs_even_past_the_deadline():
     fake = FakeAttempt(sim, [])
     outcome = _supervise(sim, fake, max_attempts=2, deadline=10.0)
     assert outcome == ("ok", "", 1)
+
+
+# ----------------------------------------------------------------------
+# The membership gate
+# ----------------------------------------------------------------------
+def test_a_peer_that_missed_a_phase_fails_the_membership_gate(small_system):
+    """A peer that crashes after phase 1 and revives while phase 2 runs
+    leaves the live set as it was, and every phase covered every peer
+    live at its start — but phase 2's candidate values lack that peer, so
+    the attempt must not count."""
+    engine, network, sim = small_system.engine, small_system.network, small_system.sim
+    plan = one_shot_plan(NetFilterConfig(filter_size=50, num_filters=2, threshold_ratio=0.01))
+    leaf = min(small_system.hierarchy.leaves())
+    live = tuple(network.live_peers())
+
+    def phase(spec, request):
+        handle = run_phase(engine, spec, request)
+        if spec is plan.phase1:
+            network.fail_peer(leaf)
+            sim.schedule(1.0, network.revive_peer, leaf)
+        return handle
+
+    result, reason = run_attempt(engine, plan, stable_over=live, phase=phase)
+    assert tuple(network.live_peers()) == live
+    assert reason == MEMBERSHIP_CHANGED
+    assert not result.complete
