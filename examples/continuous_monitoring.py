@@ -2,9 +2,10 @@
 
 Every Table I application is a monitoring task: queries keep arriving and
 the hot set drifts.  This example feeds an epoch stream (with popularity
-drift) into the network and reruns netFilter each epoch two ways — dense
-phase 1 every time vs the sparse delta optimization — printing the exact
-frequent set as it evolves and the filtering bytes each mode pays.
+drift) into the network and reruns netFilter each epoch two ways — a
+fresh one-shot query (dense phase 1 every time) vs the continuous
+monitor's sparse delta optimization — printing the exact frequent set as
+it evolves and the filtering bytes each mode pays.
 
 Run:  python examples/continuous_monitoring.py
 """
@@ -15,6 +16,7 @@ from repro import (
     AggregationEngine,
     ContinuousNetFilter,
     Hierarchy,
+    NetFilter,
     NetFilterConfig,
     Network,
     Simulation,
@@ -57,12 +59,14 @@ def main() -> None:
           f"{'frequent set (top ids)':<30} exact")
     for delta in (False, True):
         network, engine, stream = build(seed=11)
-        monitor = ContinuousNetFilter(config, engine, delta_filtering=delta)
+        monitor = ContinuousNetFilter(config, engine) if delta else None
         mode = "delta" if delta else "dense"
         for epoch in range(EPOCHS):
             stream.apply_to(network)
-            report = monitor.run_epoch()
-            result = report.result
+            if monitor is None:
+                result = NetFilter(config).run(engine)
+            else:
+                result = monitor.run_epoch().result
             truth = oracle_frequent_items(network, result.threshold)
             ids = ",".join(str(i) for i in result.frequent_ids[:5].tolist())
             print(f"{epoch:>5}  {mode:<6} {result.breakdown.filtering:>17.1f} "

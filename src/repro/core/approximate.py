@@ -41,6 +41,10 @@ from repro.metrics.breakdown import CostBreakdown
 from repro.net.node import Node
 from repro.net.wire import CostCategory
 
+#: Seed of the sketch hash salts every peer shares (sketches merge only
+#: when all peers hash alike).
+SKETCH_SEED = 0
+
 
 @dataclass(frozen=True)
 class ApproximateConfig:
@@ -55,14 +59,11 @@ class ApproximateConfig:
         Per-item failure probability of the ε bound.
     threshold_ratio:
         ``ρ`` with ``t = ρ·v``.
-    sketch_seed:
-        Shared seed for the sketch hash salts.
     """
 
     epsilon: float = 0.001
     delta: float = 0.05
     threshold_ratio: float = 0.01
-    sketch_seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0 < self.threshold_ratio <= 1:
@@ -100,7 +101,7 @@ class ApproximateIFIProtocol:
     def __init__(self, config: ApproximateConfig) -> None:
         self.config = config
         self._template = CountMinSketch.from_error(
-            config.epsilon, config.delta, seed=config.sketch_seed
+            config.epsilon, config.delta, seed=SKETCH_SEED
         )
 
     # ------------------------------------------------------------------

@@ -61,14 +61,9 @@ from repro.aggregation.spec import AggregateSpec
 from repro.core.config import NetFilterConfig
 from repro.core.decay import DecayConfig
 from repro.core.filters import FilterBank
-from repro.core.netfilter import (
-    NetFilterResult,
-    filtering_spec,
-    totals_spec,
-    verification_spec,
-)
+from repro.core.netfilter import NetFilterResult, totals_spec, verification_spec
 from repro.core.session import AttemptPlan, run_attempt
-from repro.errors import AggregationError, ConfigurationError
+from repro.errors import AggregationError
 from repro.items.itemset import FadedItemSet, LocalItemSet
 from repro.net.node import Node
 from repro.net.wire import CostCategory, SizeModel
@@ -76,7 +71,6 @@ from repro.net.wire import CostCategory, SizeModel
 #: Phase-1 modes an epoch can run in.
 SPARSE = "sparse"
 DENSE = "dense"
-LEGACY_DENSE = "legacy-dense"
 
 
 def sparse_cheaper_than_dense(
@@ -118,7 +112,7 @@ class EpochReport:
     result: NetFilterResult
     changed_groups: int
     dense_equivalent_bytes: float
-    #: Phase-1 mode this epoch ran in (sparse / dense / legacy-dense).
+    #: Phase-1 mode this epoch ran in (sparse / dense).
     mode: str = SPARSE
     #: Exact sum of per-peer changed-group counts (the crossover rider).
     changed_total: int = 0
@@ -172,7 +166,7 @@ class _FoldPreview:
     without touching committed state (applied only on commit)."""
 
     group_totals: np.ndarray
-    dense_delta: np.ndarray | None
+    dense_delta: np.ndarray
     changed_groups: int
     changed_total: int
     faded_total: float
@@ -375,8 +369,6 @@ class EpochAttempt:
         """This attempt's phase-1 aggregation: (delta-or-vector, changed
         count) pairs, with the epoch anchor riding down in the request."""
         monitor = self.monitor
-        if self.mode == LEGACY_DENSE:
-            return filtering_spec(monitor.bank)
         attempt = self
         dense = self.dense
         decay = monitor.decay
@@ -410,8 +402,6 @@ class EpochAttempt:
         """Phase 2 over this attempt's staged views (faded / windowed /
         raw), so verification prices candidates in the same decayed space
         phase 1 selected them in."""
-        if self.mode == LEGACY_DENSE:
-            return verification_spec(self.monitor.bank)
         return verification_spec(self.monitor.bank, items_of=self._view_items)
 
     def plan(self) -> AttemptPlan:
@@ -430,7 +420,7 @@ class EpochAttempt:
             bank=monitor.bank,
             totals=totals_spec() if monitor.decay is None else None,
             phase1=self.phase1_spec(),
-            phase1_request=None if self.mode == LEGACY_DENSE else self.anchor,
+            phase1_request=self.anchor,
             fold=fold,
             verification=self.verification_spec(),
         )
@@ -447,12 +437,7 @@ class EpochAttempt:
         decay = monitor.decay
         epoch = self.epoch
         expired = 0
-        if self.mode == LEGACY_DENSE:
-            group_totals = np.asarray(aggregate, dtype=np.int64)
-            dense_delta = None
-            changed_groups = bank.total_groups
-            changed_total = 0
-        elif self.dense:
+        if self.dense:
             vector, changed_total = aggregate
             dtype = np.float64 if decay is not None and decay.exponential else np.int64
             group_totals = np.asarray(vector, dtype=dtype)
@@ -542,43 +527,40 @@ class EpochAttempt:
             horizon = epoch - decay.window
             while history and history[0][0] <= horizon:
                 history.popleft()
-            if preview.dense_delta is not None:
-                history.append((epoch, preview.dense_delta))
+            history.append((epoch, preview.dense_delta))
         resyncs = 0
-        if self.mode != LEGACY_DENSE:
-            for peer_id in sorted(self._pending):
-                pend = self._pending[peer_id]
-                resyncs += int(pend.resynced)
-                previous = monitor._ledger.get(peer_id)
-                window: deque[tuple[int, LocalItemSet]] = deque()
-                if decay is not None and decay.windowed:
-                    horizon = epoch - decay.window
-                    if previous is not None and not pend.resynced:
-                        window.extend(
-                            entry for entry in previous.window if entry[0] > horizon
-                        )
-                    if len(pend.fresh):
-                        window.append((epoch, pend.fresh))
-                monitor._ledger[peer_id] = _PeerLedger(
-                    base_epoch=epoch,
-                    groups=pend.groups,
-                    items=pend.items,
-                    faded=pend.faded,
-                    window=window,
-                )
+        for peer_id in sorted(self._pending):
+            pend = self._pending[peer_id]
+            resyncs += int(pend.resynced)
+            previous = monitor._ledger.get(peer_id)
+            window: deque[tuple[int, LocalItemSet]] = deque()
+            if decay is not None and decay.windowed:
+                horizon = epoch - decay.window
+                if previous is not None and not pend.resynced:
+                    window.extend(
+                        entry for entry in previous.window if entry[0] > horizon
+                    )
+                if len(pend.fresh):
+                    window.append((epoch, pend.fresh))
+            monitor._ledger[peer_id] = _PeerLedger(
+                base_epoch=epoch,
+                groups=pend.groups,
+                items=pend.items,
+                faded=pend.faded,
+                window=window,
+            )
         monitor.committed_epoch = epoch
         monitor.commit_count += 1
         monitor.epoch = max(monitor.epoch, epoch + 1)
-        if self.dense and self.mode != LEGACY_DENSE:
+        if self.dense:
             monitor.baseline_epoch = epoch
-        if self.mode != LEGACY_DENSE:
-            allow_dense = decay is None or decay.exponential
-            monitor._dense_next = allow_dense and not sparse_cheaper_than_dense(
-                preview.changed_total,
-                result.n_participants,
-                monitor.bank.total_groups,
-                monitor.engine.network.size_model,
-            )
+        allow_dense = decay is None or decay.exponential
+        monitor._dense_next = allow_dense and not sparse_cheaper_than_dense(
+            preview.changed_total,
+            result.n_participants,
+            monitor.bank.total_groups,
+            monitor.engine.network.size_model,
+        )
         model = monitor.engine.network.size_model
         population = monitor.engine.network.n_peers
         dense_equivalent = (
@@ -636,29 +618,22 @@ class ContinuousNetFilter:
         (faded) grand total, so the threshold tracks the data).
     engine:
         The aggregation engine to run over.
-    delta_filtering:
-        Disable to rerun dense phase 1 every epoch (the ablation's
-        baseline arm, byte-identical to one-shot netFilter's phase 1).
     decay:
         Optional time-decay semantics (exponential fading or sliding
-        window).  Requires ``delta_filtering``.
+        window).
+
+    Rerunning dense phase 1 every epoch is one-shot netFilter, run once
+    per epoch: ``NetFilter(config).run(engine)``.
     """
 
     def __init__(
         self,
         config: NetFilterConfig,
         engine: AggregationEngine,
-        delta_filtering: bool = True,
         decay: DecayConfig | None = None,
     ) -> None:
-        if decay is not None and not delta_filtering:
-            raise ConfigurationError(
-                "time decay rides on the committed peer ledgers of delta "
-                "filtering; delta_filtering=False cannot decay"
-            )
         self.config = config
         self.engine = engine
-        self.delta_filtering = delta_filtering
         self.decay = decay
         self.bank = FilterBank(
             config.num_filters, config.filter_size, config.hash_seed
@@ -698,8 +673,6 @@ class ContinuousNetFilter:
         predicted; ``force_dense`` escalates to a dense re-baseline
         (window mode has no re-anchor semantics and stays sparse after
         its first commit)."""
-        if not self.delta_filtering:
-            return LEGACY_DENSE
         if self.commit_count == 0:
             return DENSE
         if self.decay is not None and self.decay.windowed:

@@ -42,6 +42,7 @@ from repro.items.itemset import LocalItemSet
 from repro.metrics.registry import HistogramMetric, MetricsRegistry
 from repro.net.node import Node
 from repro.net.wire import CostCategory, SizeModel
+from repro.sim.timers import backoff
 
 #: ``NetFilter`` without a recovery policy: one attempt, no re-issue.
 _NO_RECOVERY = RecoveryPolicy(max_phase_reissues=0, max_query_reissues=0)
@@ -195,7 +196,7 @@ class NetFilter:
                 attempt=attempt,
             )
             telemetry.registry.counter(f"recovery.{scope}_reissues").inc()
-            sim.run(until=sim.now + policy.delay_for(attempt))
+            sim.run(until=sim.now + backoff(policy.reissue_delay, attempt))
 
         def phase(spec: AggregateSpec, request_data: Any) -> SessionHandle:
             handle = run_phase(engine, spec, request_data)

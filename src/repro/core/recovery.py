@@ -6,10 +6,10 @@ the requester's *response* to that signal.  A protocol run configured with
 a :class:`RecoveryPolicy` re-issues an aggregation phase — and, if phases
 keep coming back short, the whole query — up to bounded retry budgets,
 waiting a settle delay between attempts so transient failures (a crashed
-peer reviving, a partition healing) can clear.  The delay backs off
-exponentially with a cap, in the same deterministic style as the
-transport's retransmit schedule: early retries are cheap when the cause
-was a blip, later retries wait long enough for repair to land.
+peer reviving, a partition healing) can clear.  The delay doubles per
+attempt on the transport's retransmit schedule
+(:func:`repro.sim.timers.backoff`): early retries are cheap when the
+cause was a blip, later retries wait long enough for repair to land.
 
 This is what restores the paper's no-false-negative guarantee whenever
 the network stabilises: a phase that finally covers every live peer is
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.session import backoff, check_retry_policy
 from repro.errors import ConfigurationError
 
 
@@ -46,36 +45,25 @@ class RecoveryPolicy:
         yields the wrong threshold even if later phases recover.
     reissue_delay:
         Simulated time to wait before the *first* re-issue, giving
-        revivals and hierarchy repair a chance to land.
-    backoff_factor:
-        Multiplier applied to the delay on every further attempt
-        (attempt ``k`` waits ``reissue_delay * backoff_factor**(k-1)``,
-        matching the transport's retransmit style).  ``1.0`` restores the
-        fixed settle delay.
-    reissue_delay_cap:
-        Ceiling on any single backed-off delay.
+        revivals and hierarchy repair a chance to land; re-issue ``k``
+        waits ``backoff(reissue_delay, k)``.
     """
 
     min_coverage: float = 1.0
     max_phase_reissues: int = 2
     max_query_reissues: int = 1
     reissue_delay: float = 50.0
-    backoff_factor: float = 2.0
-    reissue_delay_cap: float = 400.0
 
     def __post_init__(self) -> None:
-        check_retry_policy(
-            "reissue_delay", self.reissue_delay, self.backoff_factor, self.min_coverage
-        )
+        if not 0 < self.min_coverage <= 1.0:
+            raise ConfigurationError(
+                f"min_coverage must be in (0, 1], got {self.min_coverage}"
+            )
         if self.max_phase_reissues < 0:
             raise ConfigurationError("max_phase_reissues must be non-negative")
         if self.max_query_reissues < 0:
             raise ConfigurationError("max_query_reissues must be non-negative")
-        if self.reissue_delay_cap < self.reissue_delay:
-            raise ConfigurationError("reissue_delay_cap must be >= reissue_delay")
-
-    def delay_for(self, attempt: int) -> float:
-        """Settle delay before re-issue number ``attempt`` (1-based)."""
-        return backoff(
-            self.reissue_delay, self.backoff_factor, attempt, self.reissue_delay_cap
-        )
+        if self.reissue_delay < 0:
+            raise ConfigurationError(
+                f"reissue_delay must be non-negative, got {self.reissue_delay}"
+            )

@@ -6,16 +6,16 @@ Every front end that runs the paper's protocol — the one-shot
 query front door (:mod:`repro.frontdoor.batching`) — runs the same
 sequence (Algorithm 1: totals → candidate filtering → heavy groups →
 candidate verification → threshold) under the same policy: retry with
-capped exponential backoff inside a deadline, gate on coverage, then
-commit or fail with a named reason.  Both are stated here, once:
+exponential backoff inside a deadline, gate on coverage, then commit or
+fail with a named reason.  Both are stated here, once:
 :func:`run_attempt` (what differs between callers is an
 :class:`AttemptPlan`, not code) and :func:`supervise` (the policy types
-only name the budget, deadline and :func:`backoff` inputs they pass).
+only name a budget, a deadline and the base delay they hand to the one
+schedule, :func:`repro.sim.timers.backoff`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, TypeVar
@@ -27,7 +27,6 @@ from repro.aggregation.spec import AggregateSpec
 from repro.core.config import NetFilterConfig
 from repro.core.filters import FilterBank
 from repro.core.verification import HeavyGroups
-from repro.errors import ConfigurationError
 from repro.items.itemset import LocalItemSet
 from repro.metrics.breakdown import CostBreakdown
 from repro.sim.engine import Simulation
@@ -39,29 +38,7 @@ ROOT_DEAD = "root_dead"  # the root was down before the attempt opened
 DEADLINE = "deadline"  # the deadline passed with a phase in flight
 ROOT_LOST = "root_lost"  # a phase lost its root (dead at start or mid-session)
 MEMBERSHIP_CHANGED = "membership_changed"  # the live set moved under the attempt
-COVERAGE = "coverage"  # a phase covered less than the floor
-
-
-def backoff(base: float, factor: float, attempt: int, cap: float = math.inf) -> float:
-    """Settle delay before retry number ``attempt`` (1-based):
-    ``base · factor^(attempt-1)``, at most ``cap`` — the same
-    deterministic schedule as the transport's retransmit timer."""
-    if attempt < 1:
-        raise ConfigurationError(f"attempt must be >= 1, got {attempt}")
-    return min(cap, base * factor ** (attempt - 1))
-
-
-def check_retry_policy(
-    delay_field: str, base_delay: float, backoff_factor: float, min_coverage: float
-) -> None:
-    """What every policy type must hold of the inputs it hands to
-    :func:`backoff` and :func:`below_floor`."""
-    if base_delay < 0:
-        raise ConfigurationError(f"{delay_field} must be non-negative, got {base_delay}")
-    if backoff_factor < 1.0:
-        raise ConfigurationError(f"backoff_factor must be at least 1, got {backoff_factor}")
-    if not 0 < min_coverage <= 1.0:
-        raise ConfigurationError(f"min_coverage must be in (0, 1], got {min_coverage}")
+COVERAGE = "coverage"  # a phase missed a live peer
 
 
 def below_floor(coverage: float, floor: float) -> bool:
@@ -230,15 +207,15 @@ def run_attempt(
     plan: AttemptPlan,
     *,
     deadline: float | None = None,
-    min_coverage: float | None = None,
+    exact: bool = False,
     stable_over: tuple[int, ...] | None = None,
     phase: PhaseRunner | None = None,
 ) -> tuple[NetFilterResult, str]:
     """Run Algorithm 1 once; returns ``(result, reason)``.
 
     An empty reason means the result counts: every phase finished inside
-    ``deadline``, the live set still equals ``stable_over`` and the worst
-    phase coverage is not below ``min_coverage`` (each where given).
+    ``deadline``, the live set still equals ``stable_over`` (each where
+    given) and, if ``exact``, every phase covered every live peer.
     Otherwise the reason names the first check that failed and the result
     is the honest flagged one (:meth:`NetFilterResult.aborted` if a phase
     never finished); its breakdown is this attempt's byte delta either
@@ -332,8 +309,7 @@ def run_attempt(
         coverage=coverage,
         complete=all(handle.complete for handle in handles),
     )
-    gated = min_coverage is not None and below_floor(coverage, min_coverage)
-    return result, COVERAGE if gated else ""
+    return result, COVERAGE if exact and not result.complete else ""
 
 
 # ----------------------------------------------------------------------

@@ -63,11 +63,11 @@ from repro.workload.workload import Workload
 class SoakConfig:
     """Everything one soak run needs; two presets cover CI and the bench.
 
-    The commit gate stays at full coverage (``min_coverage=1.0``) on
-    purpose: a commit then proves every live peer's delta reached the
-    root, which is what makes the exactness mirror — and the paper's
-    no-false-negative claim — checkable per commit.  Availability under
-    partial coverage is the degraded-answer path, not a weaker commit.
+    The monitor commits only at full coverage: a commit then proves
+    every live peer's delta reached the root, which is what makes the
+    exactness mirror — and the paper's no-false-negative claim —
+    checkable per commit.  Availability under partial coverage is the
+    degraded-answer path, not a weaker commit.
     """
 
     seed: int = 0
@@ -241,7 +241,6 @@ def _run_soak(sim: Simulation, config: SoakConfig) -> SoakResult:
             deadline=config.deadline,
             max_attempts=config.max_attempts,
             retry_backoff=config.retry_backoff,
-            min_coverage=1.0,
             max_staleness=config.max_staleness,
             rebaseline_after=config.rebaseline_after,
         ),

@@ -11,9 +11,9 @@ The session is :func:`repro.core.session.run_attempt` under
 :func:`~repro.core.session.supervise`: unlike :meth:`NetFilter.run` it
 has a hard sim-time deadline (the front door must keep its next
 scheduling round), retries with exponential backoff while budget
-remains, and discards an attempt below the coverage floor — a session
-that cannot cover enough of the live population honestly fails instead
-of committing a silently-wrong superset.
+remains, and discards an attempt that missed a live peer — a session
+that cannot cover the whole live population honestly fails instead of
+committing a silently-wrong superset.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro.core.netfilter import NetFilterResult, one_shot_plan
 from repro.core.session import run_attempt, supervise
 from repro.frontdoor.config import FrontDoorConfig
 from repro.items.itemset import LocalItemSet
+from repro.sim.timers import backoff
 
 
 @dataclass(frozen=True)
@@ -115,12 +116,10 @@ class BatchSessionRunner:
         ) as span:
             result, reason, attempts = supervise(
                 sim,
-                partial(
-                    run_attempt, engine, plan, deadline=deadline, min_coverage=config.min_coverage
-                ),
+                partial(run_attempt, engine, plan, deadline=deadline, exact=True),
                 max_attempts=1 + config.max_session_retries,
                 deadline=deadline,
-                delay=config.retry_delay,
+                delay=partial(backoff, config.retry_backoff),
                 on_failure=retrying,
             )
             span["committed"] = not reason

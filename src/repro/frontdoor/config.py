@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.session import backoff, check_retry_policy
 from repro.errors import ConfigurationError
 
 #: ``retry_after`` value meaning "do not retry": the rejection is
@@ -97,13 +96,10 @@ class FrontDoorConfig:
     max_session_retries:
         Attempts beyond the first for one batch's session.
     retry_backoff:
-        Settle delay before the first session retry.
-    backoff_factor:
-        Multiplier on the settle delay per further retry.
-    min_coverage:
-        Coverage floor for a session to count as committed; ``1.0``
-        demands exactness (every live peer folded in), matching the
-        :class:`~repro.core.recovery.RecoveryPolicy` contract.
+        Settle delay before the first session retry; retry ``k`` waits
+        ``backoff(retry_backoff, k)``, and the session deadline, not a
+        cap, bounds the schedule.  A session commits only if it folded
+        in every live peer (the exactness gate).
     client_timeout:
         Client-side deadline per request, from submission.  A request
         unanswered past it terminates as ``REJECTED(timeout)`` — the
@@ -127,8 +123,6 @@ class FrontDoorConfig:
     session_deadline: float = 150.0
     max_session_retries: int = 2
     retry_backoff: float = 10.0
-    backoff_factor: float = 2.0
-    min_coverage: float = 1.0
     client_timeout: float = 400.0
     breaker_threshold: int = 3
     breaker_reset: float = 120.0
@@ -153,9 +147,10 @@ class FrontDoorConfig:
             raise ConfigurationError(
                 f"max_session_retries must be non-negative, got {self.max_session_retries}"
             )
-        check_retry_policy(
-            "retry_backoff", self.retry_backoff, self.backoff_factor, self.min_coverage
-        )
+        if self.retry_backoff < 0:
+            raise ConfigurationError(
+                f"retry_backoff must be non-negative, got {self.retry_backoff}"
+            )
         if self.client_timeout <= self.round_interval:
             raise ConfigurationError(
                 "client_timeout must exceed round_interval (a request must "
@@ -169,8 +164,3 @@ class FrontDoorConfig:
             raise ConfigurationError(
                 f"breaker_reset must be positive, got {self.breaker_reset}"
             )
-
-    def retry_delay(self, attempt: int) -> float:
-        """Settle delay before session retry number ``attempt`` (1-based);
-        the session deadline, not a cap, bounds the schedule."""
-        return backoff(self.retry_backoff, self.backoff_factor, attempt)

@@ -2,12 +2,11 @@
 
 netFilter's exactness argument leans on two properties of the wire layer:
 every byte the cost model reports was priced by the payload that put it
-there (size accounting), and every payload type is known to the codec so
-traces, reports and (future) real serialization can resolve a payload
-kind by name.  An unregistered payload would be sendable but invisible to
-that tooling — so registration is mandatory, checked statically by the
-``PROTO001`` rule of :mod:`repro.lint` and enforced at import time by the
-:func:`register_payload` decorator itself.
+there (size accounting), and every payload type registers under a name
+no other class holds, so the payload kind that traces and reports record
+names exactly one class.  Registration is mandatory, checked statically
+by the ``PROTO001`` rule of :mod:`repro.lint` and enforced at import time
+by the :func:`register_payload` decorator itself.
 
 Usage::
 
@@ -74,27 +73,3 @@ def register_payload(cls: type[P]) -> type[P]:
         raise NetworkError(f"payload name {name!r} is already registered")
     _PAYLOAD_TYPES[name] = cls
     return cls
-
-
-def payload_type(name: str) -> type[Payload]:
-    """Resolve a registered payload class by name.
-
-    Raises
-    ------
-    NetworkError
-        If no payload registered under ``name``.
-    """
-    cls = _PAYLOAD_TYPES.get(name)
-    if cls is None:
-        raise NetworkError(f"unknown payload type {name!r}")
-    return cls
-
-
-def is_registered(cls: type[Payload]) -> bool:
-    """Whether this exact class was registered with the codec."""
-    return _PAYLOAD_TYPES.get(cls.__name__) is cls
-
-
-def registered_payloads() -> dict[str, type[Payload]]:
-    """Snapshot of the registry, sorted by name (stable for reports)."""
-    return {name: _PAYLOAD_TYPES[name] for name in sorted(_PAYLOAD_TYPES)}

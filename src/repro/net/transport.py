@@ -44,6 +44,7 @@ from repro.net.codec import register_payload
 from repro.net.message import Message, Payload
 from repro.net.wire import CostCategory, SizeModel
 from repro.sim.engine import Simulation
+from repro.sim.timers import backoff
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.net.node import Node
@@ -88,6 +89,13 @@ class TransportConfig:
             raise NetworkError("loss_probability must be in [0, 1)")
 
 
+#: Payload class names sent fire-and-forget even within a reliable
+#: category: a late heartbeat is worthless (the next one supersedes it)
+#: and acking every heartbeat would double the steady-state control
+#: traffic.
+UNRELIABLE_KINDS: frozenset[str] = frozenset({"HeartbeatPayload"})
+
+
 @dataclass(frozen=True)
 class ReliabilityConfig:
     """Per-message ACK + bounded retransmit for selected traffic.
@@ -98,18 +106,12 @@ class ReliabilityConfig:
         Cost categories whose payloads are sent reliably.  Defaults to the
         convergecast/control categories; gossip traffic is redundant by
         design and stays fire-and-forget.
-    exclude_kinds:
-        Payload class names exempted even within a reliable category.
-        Heartbeats are excluded by default: a late heartbeat is worthless
-        (the next one supersedes it) and acking every heartbeat would
-        double the steady-state control traffic.
     ack_timeout:
-        Initial retransmit timeout.  Must exceed one round trip
+        Initial retransmit timeout, doubled per further copy
+        (:func:`~repro.sim.timers.backoff`).  Must exceed one round trip
         (``2 * (latency + latency_jitter)``) to avoid spurious copies.
     max_retransmits:
         Wire copies after the first send before the sender gives up.
-    backoff_factor:
-        Deterministic exponential backoff applied per attempt.
     """
 
     categories: frozenset[CostCategory] = frozenset(
@@ -122,18 +124,14 @@ class ReliabilityConfig:
             CostCategory.SAMPLING,
         }
     )
-    exclude_kinds: frozenset[str] = frozenset({"HeartbeatPayload"})
     ack_timeout: float = 6.0
     max_retransmits: int = 4
-    backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
         if self.ack_timeout <= 0:
             raise NetworkError("ack_timeout must be positive")
         if self.max_retransmits < 0:
             raise NetworkError("max_retransmits must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise NetworkError("backoff_factor must be >= 1")
 
 
 @register_payload
@@ -395,7 +393,7 @@ class Transport:
         assert self.reliability is not None
         if isinstance(payload, TransportAckPayload):
             return False  # never ack an ack
-        if type(payload).__name__ in self.reliability.exclude_kinds:
+        if type(payload).__name__ in UNRELIABLE_KINDS:
             return False
         return payload.category in self.reliability.categories
 
@@ -403,9 +401,7 @@ class Transport:
         """One wire copy of a pending reliable message plus its timer."""
         assert self.reliability is not None
         pending.attempts += 1
-        timeout = self.reliability.ack_timeout * (
-            self.reliability.backoff_factor ** (pending.attempts - 1)
-        )
+        timeout = backoff(self.reliability.ack_timeout, pending.attempts)
         self._sim.post(timeout, self._on_ack_timeout, pending)
         self._transmit(pending.sender, pending.recipient, pending.payload, pending)
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.session import backoff, check_retry_policy
 from repro.errors import ConfigurationError
 
 
@@ -26,13 +25,10 @@ class ServiceConfig:
         bounds the total even if attempts remain).
     retry_backoff:
         Settle delay before the first retry (lets in-flight repair
-        traffic — failovers, re-adoptions — land before re-asking).
-    backoff_factor:
-        Multiplier on the settle delay per further retry.
-    min_coverage:
-        Coverage floor for commit: every phase of the attempt must cover
-        at least this fraction of the peers live at its start.  1.0 (the
-        default) demands full coverage — the exactness gate.
+        traffic — failovers, re-adoptions — land before re-asking);
+        retry ``k`` waits ``backoff(retry_backoff, k)``, and the epoch
+        deadline, not a cap, bounds the schedule.  An attempt commits
+        only if every phase covered every peer live at its start.
     max_staleness:
         The service's advertised staleness bound, in epochs.  Serving an
         answer older than this is a contract violation: it is still
@@ -47,8 +43,6 @@ class ServiceConfig:
     deadline: float = 180.0
     max_attempts: int = 3
     retry_backoff: float = 20.0
-    backoff_factor: float = 2.0
-    min_coverage: float = 1.0
     max_staleness: int = 8
     rebaseline_after: int = 3
 
@@ -65,9 +59,10 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"max_attempts must be at least 1, got {self.max_attempts}"
             )
-        check_retry_policy(
-            "retry_backoff", self.retry_backoff, self.backoff_factor, self.min_coverage
-        )
+        if self.retry_backoff < 0:
+            raise ConfigurationError(
+                f"retry_backoff must be non-negative, got {self.retry_backoff}"
+            )
         if self.max_staleness < 1:
             raise ConfigurationError(
                 f"max_staleness must be at least 1 epoch, got {self.max_staleness}"
@@ -76,8 +71,3 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"rebaseline_after must be at least 1, got {self.rebaseline_after}"
             )
-
-    def delay_for(self, attempt: int) -> float:
-        """Settle delay before retry number ``attempt`` (1-based); the
-        epoch deadline, not a cap, bounds the schedule."""
-        return backoff(self.retry_backoff, self.backoff_factor, attempt)

@@ -5,8 +5,8 @@ long-lived query.  Each scheduled epoch it opens an
 :class:`~repro.core.continuous.EpochAttempt` and runs it
 (:func:`repro.core.session.run_attempt` under
 :func:`~repro.core.session.supervise`) with a per-epoch deadline; an
-attempt that loses its root, misses the deadline, falls below the
-coverage floor, or sees the live set change mid-flight is **abandoned**
+attempt that loses its root, misses the deadline, leaves a live peer
+uncovered, or sees the live set change mid-flight is **abandoned**
 (nothing committed, no peer ledger advanced) and retried after a settle
 backoff.  An epoch whose deadline expires with no committed attempt ends
 **degraded**: the root keeps serving the newest committed result, flagged
@@ -27,6 +27,7 @@ not.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.core.continuous import ContinuousNetFilter, EpochReport
@@ -36,6 +37,7 @@ from repro.net.message import Message
 from repro.service.answer import EpochOutcome, MonitorAnswer
 from repro.service.config import ServiceConfig
 from repro.service.payloads import MonitorAnswerPayload, MonitorQueryPayload
+from repro.sim.timers import backoff
 
 
 class MonitorService:
@@ -176,7 +178,7 @@ class MonitorService:
                 lambda: self._commit_or_abandon(epoch, deadline_at),
                 max_attempts=cfg.max_attempts,
                 deadline=deadline_at,
-                delay=cfg.delay_for,
+                delay=partial(backoff, cfg.retry_backoff),
                 on_failure=abandoned,
             )
             span["committed"] = report is not None
@@ -254,7 +256,7 @@ class MonitorService:
                 self.engine,
                 attempt.plan(),
                 deadline=deadline_at,
-                min_coverage=self.config.min_coverage,
+                exact=True,
                 stable_over=live_at_start,
             )
             if reason:

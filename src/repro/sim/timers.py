@@ -4,7 +4,9 @@ The heartbeat protocol of Section III-A.3 needs periodic timers with a
 little jitter (so that a thousand peers do not all send heartbeats on the
 same tick), and the failure detector needs a re-armable one-shot timeout.
 Both are provided here so protocol code never touches the event heap
-directly.
+directly.  :func:`backoff` is the one retry schedule every retrier
+shares: the transport's retransmit timer and the requester, monitor and
+front-door settle delays.
 
 Both timers are engineered for the failure-detector workload, where
 :meth:`Timeout.reset` runs once per received heartbeat: a reset does not
@@ -20,8 +22,17 @@ from __future__ import annotations
 import heapq
 from typing import Callable
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim.engine import Simulation
+
+
+def backoff(base: float, attempt: int) -> float:
+    """Delay before retry number ``attempt`` (1-based):
+    ``base · 2^(attempt-1)``.  A budget or a deadline bounds how far a
+    retrier walks the schedule; the schedule itself has no cap."""
+    if attempt < 1:
+        raise ConfigurationError(f"attempt must be >= 1, got {attempt}")
+    return base * 2 ** (attempt - 1)
 
 
 class PeriodicTimer:

@@ -7,16 +7,17 @@ import pytest
 
 from repro.core.config import NetFilterConfig
 from repro.core.continuous import ContinuousNetFilter
+from repro.core.netfilter import NetFilter
 from repro.core.oracle import oracle_frequent_items
 from repro.workload.streams import ZipfStream
 
 from tests.conftest import build_small_system
 
 
-def make_monitored(seed: int = 0, delta: bool = True, drift: int = 0):
+def make_monitored(seed: int = 0, drift: int = 0):
     system = build_small_system(seed=seed, n_peers=60, n_items=3000)
     config = NetFilterConfig(filter_size=80, num_filters=2, threshold_ratio=0.01)
-    monitor = ContinuousNetFilter(config, system.engine, delta_filtering=delta)
+    monitor = ContinuousNetFilter(config, system.engine)
     stream = ZipfStream(
         n_items=3000,
         n_peers=60,
@@ -71,11 +72,12 @@ def test_delta_cheaper_than_dense_on_quiet_epochs():
 
 
 def test_dense_mode_costs_the_same_every_epoch():
-    system, monitor, stream = make_monitored(seed=4, delta=False)
+    # The ablation's dense arm: one-shot netFilter, rerun every epoch.
+    system, monitor, stream = make_monitored(seed=4)
     costs = []
     for _ in range(3):
         stream.apply_to(system.network)
-        costs.append(monitor.run_epoch().result.breakdown.filtering)
+        costs.append(NetFilter(monitor.config).run(system.engine).breakdown.filtering)
     assert costs[0] == pytest.approx(costs[1]) == pytest.approx(costs[2])
 
 

@@ -15,7 +15,6 @@ from repro.core.continuous import (
     sparse_cheaper_than_dense,
 )
 from repro.core.decay import DecayConfig
-from repro.errors import ConfigurationError
 from repro.hierarchy.builder import Hierarchy
 from repro.hierarchy.maintenance import enable_maintenance
 from repro.items.itemset import FadedItemSet, LocalItemSet
@@ -83,17 +82,6 @@ class FadedMirror:
         want = expected.restrict_to(np.asarray(got.ids))
         assert np.array_equal(want.ids, got.ids)
         assert np.allclose(want.values, got.values, rtol=1e-9, atol=0.0)
-
-
-def test_decay_requires_delta_filtering():
-    system = build_small_system(seed=0, n_peers=10, n_items=200)
-    with pytest.raises(ConfigurationError):
-        ContinuousNetFilter(
-            NetFilterConfig(filter_size=20, num_filters=2, threshold_ratio=0.01),
-            system.engine,
-            delta_filtering=False,
-            decay=DecayConfig(),
-        )
 
 
 def test_exponential_epochs_match_faded_oracle():

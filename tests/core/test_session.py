@@ -1,5 +1,5 @@
-"""The session kernel: one backoff schedule, one coverage predicate, one
-supervision loop (``repro.core.session``)."""
+"""The session kernel (``repro.core.session``): one coverage predicate
+and one supervision loop, plus the backoff schedule they hand to it."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from repro.core.netfilter import one_shot_plan
 from repro.core.session import (
     DEADLINE,
     MEMBERSHIP_CHANGED,
-    backoff,
     below_floor,
     run_attempt,
     run_phase,
@@ -26,22 +25,35 @@ from repro.core.session import (
 from repro.errors import ConfigurationError
 from repro.net.wire import CostCategory
 from repro.sim.engine import Simulation
+from repro.sim.timers import backoff
 
 
 # ----------------------------------------------------------------------
 # backoff
 # ----------------------------------------------------------------------
 def test_backoff_doubles_then_caps():
-    assert [backoff(50.0, 2.0, k, 400.0) for k in range(1, 6)] == [
-        50.0, 100.0, 200.0, 400.0, 400.0,
+    """The schedule doubles from its base; what caps the delay a retrier
+    sleeps is the time left before its deadline, not the schedule."""
+    assert [backoff(50.0, k) for k in range(1, 6)] == [
+        50.0, 100.0, 200.0, 400.0, 800.0,
     ]
-    assert backoff(10.0, 3.0, 4) == 270.0  # uncapped by default
+    sim = Simulation(seed=0)
+    fake = FakeAttempt(sim, ["coverage"] * 10)
+    outcome = _supervise(
+        sim, fake, max_attempts=10, deadline=400.0,
+        delay=lambda k: backoff(50.0, k),
+    )
+    # Settles of 50, 100, 200, then 400 clipped to the 50 left: the
+    # clock lands on the deadline and no fifth attempt starts.
+    assert fake.started_at == [0.0, 50.0, 150.0, 350.0]
+    assert outcome == (None, "coverage", 4)
+    assert sim.now == 400.0
 
 
 @pytest.mark.parametrize("attempt", [0, -1])
 def test_backoff_rejects_attempts_below_one(attempt):
     with pytest.raises(ConfigurationError):
-        backoff(10.0, 2.0, attempt)
+        backoff(10.0, attempt)
 
 
 # ----------------------------------------------------------------------

@@ -144,7 +144,6 @@ def test_reissues_count_a_discarded_whole_query_retry():
             max_phase_reissues=0,
             max_query_reissues=1,
             reissue_delay=1000.0,
-            reissue_delay_cap=1000.0,
         ),
     ).run(engine)
     assert sim.now > now + 1000.0  # the retry ran under the second cut

@@ -13,6 +13,7 @@ from repro.net.overlay import Topology
 from repro.net.transport import ReliabilityConfig, TransportConfig
 from repro.net.wire import CostCategory, SizeModel
 from repro.sim.engine import Simulation
+from repro.sim.timers import backoff
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,6 @@ def test_invalid_reliability_config_rejected():
         ReliabilityConfig(ack_timeout=0.0)
     with pytest.raises(NetworkError):
         ReliabilityConfig(max_retransmits=-1)
-    with pytest.raises(NetworkError):
-        ReliabilityConfig(backoff_factor=0.5)
 
 
 def test_lossy_link_delivers_every_message_exactly_once():
@@ -129,11 +128,11 @@ def test_excluded_kinds_and_categories_stay_fire_and_forget():
 
 
 def test_deterministic_backoff_schedule():
-    """Retransmit times follow ack_timeout * factor**k exactly."""
+    """The one retry schedule doubles from its base, and the retransmit
+    timer walks it exactly: copy k waits ``backoff(ack_timeout, k)``."""
+    assert [backoff(50.0, k) for k in range(1, 6)] == [50.0, 100.0, 200.0, 400.0, 800.0]
     network = make_network(
-        reliability=ReliabilityConfig(
-            ack_timeout=4.0, max_retransmits=2, backoff_factor=2.0
-        )
+        reliability=ReliabilityConfig(ack_timeout=4.0, max_retransmits=2)
     )
     network.fail_peer(1)
     network.node(0).send(1, Ping())
