@@ -16,9 +16,10 @@ byte the event engine charges is a closed-form function of the tree:
 Request bodies, categories and fixed reply sizes are read off the same
 :class:`~repro.aggregation.spec.AggregateSpec` the event engine runs
 (:func:`phase_bytes`).  The only tree-*shape*-dependent term is the
-verification reply; computed here by a level-by-level batched subtree
-merge (:func:`subtree_candidate_pairs`) — the exact distinct-count every
-reply would carry, without simulating any message.
+verification reply: :func:`subtree_candidate_pairs` gives every peer a
+bitset of the candidates in its subtree and ORs them up the levels, so
+each reply's exact distinct count is a popcount — no message simulated
+and no population-sized sort.
 
 Trace and metrics emission is aggregated per batch: one ``vec.phase``
 event per phase and a bulk histogram merge instead of one observation
@@ -123,7 +124,7 @@ class CandidateRows:
     """The reachable population's candidate (peer, item, value) rows.
 
     ``rank`` is each row's index into ``universe`` (the distinct
-    candidate ids, ascending) — the dense key the level merge works in.
+    candidate ids, ascending) — its bit in the subtree bitsets.
     """
 
     peer: np.ndarray
@@ -141,27 +142,18 @@ def candidate_rows(
 ) -> CandidateRows:
     """Every reachable peer's partial candidate set, in one batch.
 
-    Vectorizes ``materialize_candidates`` across the population: the
-    filter decision depends only on the item id, so it is evaluated once
-    per *distinct* id and broadcast back to the (peer, item) rows.
+    ``materialize_candidates`` across the population: the same
+    ``bank.candidate_mask`` call each scalar peer makes on its own ids,
+    applied once to every reachable row, so rows keep their CSR order.
+    Only the survivors are sorted, to rank them into ``universe``.
     """
-    empty = np.empty(0, dtype=np.int64)
-    if heavy.is_empty():
-        return CandidateRows(peer=empty, rank=empty, value=empty, universe=empty)
-    flat = reachable_flat_mask(table, reach)
-    ids = table.item_ids[flat]
-    values = table.item_values[flat]
-    peers = table.flat_peer_ids()[flat]
-    distinct, inverse = np.unique(ids, return_inverse=True)
-    distinct_mask = bank.candidate_mask(distinct, heavy.lookup(bank))
-    keep = distinct_mask[inverse]
-    universe = distinct[distinct_mask]
-    # Re-rank the surviving ids densely: positions of kept distinct ids.
-    rank_of_distinct = np.cumsum(distinct_mask, dtype=np.int64) - 1
+    at = np.flatnonzero(reachable_flat_mask(table, reach))
+    at = at[bank.candidate_mask(table.item_ids[at], heavy.lookup(bank))]
+    universe, rank = np.unique(table.item_ids[at], return_inverse=True)
     return CandidateRows(
-        peer=peers[keep],
-        rank=rank_of_distinct[inverse[keep]],
-        value=values[keep],
+        peer=table.flat_peer_ids()[at],
+        rank=rank,
+        value=table.item_values[at],
         universe=universe,
     )
 
@@ -173,40 +165,50 @@ def candidate_global_values(rows: CandidateRows) -> np.ndarray:
     return out
 
 
+#: Set bits of each byte value: a ``uint64`` array's popcount gathers this
+#: over its ``uint8`` view (numpy 1.x has no popcount ufunc).
+POPCOUNT8 = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)
+
+
+def popcount(words: np.ndarray) -> int:
+    """Total set bits of a contiguous ``uint64`` array."""
+    return int(POPCOUNT8[words.view(np.uint8)].sum(dtype=np.int64))
+
+
 def subtree_candidate_pairs(
     table: PeerTable, rows: CandidateRows
 ) -> tuple[int, int, np.ndarray]:
     """The phase-2 reply sizes, computed as a batched subtree merge.
 
     Every non-root reachable peer's reply carries the *distinct*
-    candidate ids of its subtree (Algorithm 2's keyed-sum merge).
-    Working from the deepest level up: relabel the deduplicated child
-    sets to their parents, concatenate with the parents' own candidate
-    rows, deduplicate on the combined ``peer·K + rank`` key — the
-    surviving key count at each level *is* the total reply payload of
-    that level.
+    candidate ids of its subtree (Algorithm 2's keyed-sum merge).  Each
+    peer holds that set as a bitset over ``rank``, one ``uint64`` word
+    per 64 candidates.  Walking the levels deepest first, a level's
+    words are complete once its children have been OR-ed in: their
+    popcount is the level's total reply payload, and they are then
+    OR-ed into the parents.  The root's popcount is its distinct count.
+
+    Cost: O(⌈K/64⌉·N) array work for K candidates and N peers, one word
+    at a time so the scratch column stays at 8 B per peer.
 
     Returns ``(total pairs sent, root distinct count, per-peer own
     candidate counts)`` — the last feeds the batched histogram emission.
     """
-    n_candidates = rows.n_candidates
     own_counts = np.bincount(rows.peer, minlength=table.n_peers).astype(np.int64)
-    if n_candidates == 0:
-        return 0, 0, own_counts
-    k = np.int64(n_candidates)
-    depths = table.depth[rows.peer]
-    height = int(depths.max(initial=0))
-    pairs_sent = 0
-    carry = np.empty(0, dtype=np.int64)
-    for level in range(height, -1, -1):
-        at_level = depths == level
-        own_keys = rows.peer[at_level] * k + rows.rank[at_level]
-        keys = np.unique(np.concatenate([own_keys, carry]))
-        if level == 0:
-            return pairs_sent, int(keys.size), own_counts
-        pairs_sent += int(keys.size)
-        carry = table.parent[keys // k] * k + keys % k
-    return pairs_sent, 0, own_counts  # pragma: no cover - loop always hits level 0
+    order, starts = table.level_order()
+    bit = np.left_shift(np.uint64(1), (rows.rank & 63).astype(np.uint64))
+    pairs_sent = root_count = 0
+    for index in range(-(-rows.n_candidates // 64)):
+        held = (rows.rank >> 6) == index
+        bits = np.zeros(table.n_peers, dtype=np.uint64)
+        np.bitwise_or.at(bits, rows.peer[held], bit[held])
+        for d in range(starts.size - 2, 0, -1):
+            level = order[starts[d] : starts[d + 1]]
+            words = bits[level]
+            pairs_sent += popcount(words)
+            np.bitwise_or.at(bits, table.parent[level], words)
+        root_count += popcount(bits[table.root : table.root + 1])
+    return pairs_sent, root_count, own_counts
 
 
 # ----------------------------------------------------------------------

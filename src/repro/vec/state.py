@@ -208,23 +208,21 @@ class PeerTable:
         return sizes
 
     def subtree_peers(self, peer: int) -> np.ndarray:
-        """All participants in ``peer``'s subtree (ascending ids)."""
-        members = {int(peer)}
-        order, starts = self.level_order()
+        """All participants in ``peer``'s subtree (ascending ids), marked
+        in one membership column walked down the levels."""
         root_depth = int(self.depth[peer])
         if root_depth < 0:
             raise ConfigurationError(f"peer {peer} is not a hierarchy participant")
+        member = np.zeros(self.n_peers, dtype=bool)
+        member[peer] = True
+        order, starts = self.level_order()
         for d in range(root_depth + 1, starts.size - 1):
             level = order[starts[d] : starts[d + 1]]
-            if level.size == 0:
+            inside = member[self.parent[level]]
+            if not inside.any():
                 break
-            inside = level[
-                np.isin(self.parent[level], np.fromiter(members, dtype=np.int64))
-            ]
-            if inside.size == 0:
-                break
-            members.update(inside.tolist())
-        return np.array(sorted(members), dtype=np.int64)
+            member[level[inside]] = True
+        return np.flatnonzero(member)
 
     def subset(self, peers: np.ndarray) -> "PeerTable":
         """A dense re-labelled sub-table over ``peers``.
