@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.items.itemset import LocalItemSet
 
 
 def ceil_threshold(threshold_ratio: float, grand_total: int | float) -> int:
@@ -18,12 +19,22 @@ def ceil_threshold(threshold_ratio: float, grand_total: int | float) -> int:
     (floored at 1 so an empty network still has a meaningful threshold).
 
     Every layer that turns a ratio into an absolute threshold —
-    :meth:`NetFilterConfig.resolve_threshold`, the multi-request carving
-    of :mod:`repro.core.requests`, the front door's per-tenant answers —
-    must go through this one function, or two layers can disagree on
-    item-set membership at the threshold boundary.
+    :meth:`NetFilterConfig.resolve_threshold` and every carve through
+    :func:`carve_at_ratio` — must go through this one function, or two
+    layers can disagree on item-set membership at the threshold boundary.
     """
     return max(int(-(-threshold_ratio * grand_total // 1)), 1)
+
+
+def carve_at_ratio(
+    frequent: LocalItemSet, threshold_ratio: float, grand_total: int | float
+) -> tuple[LocalItemSet, int]:
+    """The items of ``frequent`` (computed at a ratio no higher than
+    ``threshold_ratio``, over ``grand_total``) that are frequent at
+    ``threshold_ratio``, and that ratio's threshold: the one min-ratio
+    carve of shared sessions, front-door batches and the answer cache."""
+    threshold = ceil_threshold(threshold_ratio, grand_total)
+    return frequent.filter_values(threshold), threshold
 
 
 @dataclass(frozen=True)

@@ -580,7 +580,6 @@ class EpochAttempt:
             resyncs=resyncs,
         )
         monitor.reports.append(report)
-        monitor._record_probes(report)
         self.closed = True
         participants_tuple = tuple(int(p) for p in participants)
         for listener in monitor._commit_listeners:
@@ -707,25 +706,3 @@ class ContinuousNetFilter:
                 "the monitor with repro.service.MonitorService to retry"
             )
         return attempt.commit(result, tuple(self.engine.network.live_peers()))
-
-    # ------------------------------------------------------------------
-    # Probes
-    # ------------------------------------------------------------------
-    def _record_probes(self, report: EpochReport) -> None:
-        """Feed the windowed epoch timeseries, when one is enabled.
-
-        Staleness (sim time from epoch start to the exact result),
-        changed-group count, frequent-set size, and filtering savings land
-        as probes in the telemetry epoch grid, so continuous runs can plot
-        recall/staleness over time from the ring buffer or the
-        ``epoch.snapshot`` trace events.
-        """
-        epochs = self.engine.sim.telemetry.epochs
-        if epochs is None:
-            return
-        result = report.result
-        epochs.record("monitor.staleness", result.elapsed_time)
-        epochs.record("monitor.changed_groups", float(report.changed_groups))
-        epochs.record("monitor.frequent_items", float(len(result.frequent)))
-        epochs.record("monitor.filtering_savings", report.filtering_savings)
-        epochs.record("monitor.faded_total", report.faded_total)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.aggregation.hierarchical import AggregationEngine
-from repro.core.config import NetFilterConfig, ceil_threshold
+from repro.core.config import NetFilterConfig, carve_at_ratio
 from repro.core.netfilter import NetFilter, NetFilterResult
 from repro.errors import ProtocolError, RequestTimeoutError
 from repro.items.itemset import LocalItemSet
@@ -249,10 +249,9 @@ class MultiRequestCoordinator:
 
         # 3. Carve out and deliver each requester's subset.
         for payload in self._pending_at_root:
-            threshold = ceil_threshold(
-                payload.threshold_ratio, shared_result.grand_total
+            subset, _ = carve_at_ratio(
+                shared_result.frequent, payload.threshold_ratio, shared_result.grand_total
             )
-            subset = shared_result.frequent.filter_values(threshold)
             if not payload.route:
                 # The root asked for itself.
                 self._delivered[hierarchy.root] = subset

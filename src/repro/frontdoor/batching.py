@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from repro.aggregation.hierarchical import AggregationEngine
-from repro.core.config import NetFilterConfig, ceil_threshold
+from repro.core.config import NetFilterConfig, carve_at_ratio
 from repro.core.netfilter import NetFilterResult, one_shot_plan
 from repro.core.session import run_attempt, supervise
 from repro.frontdoor.config import FrontDoorConfig
@@ -66,10 +66,9 @@ class BatchOutcome:
 
     def carve(self, threshold_ratio: float) -> tuple[LocalItemSet, int]:
         """One member's answer: the shared frequent set re-thresholded
-        at the member's own ratio through the canonical derivation."""
+        at the member's own ratio (:func:`~repro.core.config.carve_at_ratio`)."""
         assert self.result is not None
-        threshold = ceil_threshold(threshold_ratio, self.result.grand_total)
-        return self.result.frequent.filter_values(threshold), threshold
+        return carve_at_ratio(self.result.frequent, threshold_ratio, self.result.grand_total)
 
 
 class BatchSessionRunner:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config import ceil_threshold
+from repro.core.config import carve_at_ratio
 from repro.core.netfilter import NetFilterResult
 from repro.items.itemset import LocalItemSet
 
@@ -127,10 +127,10 @@ class AnswerCache:
             self.misses += 1
             return None
         staleness, _, entry = best
-        threshold = ceil_threshold(threshold_ratio, entry.grand_total)
+        items, threshold = carve_at_ratio(entry.frequent, threshold_ratio, entry.grand_total)
         self.hits += 1
         return CacheHit(
-            items=entry.frequent.filter_values(threshold),
+            items=items,
             threshold=threshold,
             grand_total=entry.grand_total,
             staleness=staleness,

@@ -657,10 +657,6 @@ class FrontDoor:
         }
         self.round_rows.append(row)
         registry.counter("frontdoor.rounds").inc()
-        epochs = self.sim.telemetry.epochs
-        if epochs is not None:
-            epochs.record("frontdoor.queue_depth", float(len(self._queue)))
-            epochs.record("frontdoor.outstanding", float(len(self._outstanding)))
 
     # ------------------------------------------------------------------
     # Reporting

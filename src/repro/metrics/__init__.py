@@ -10,7 +10,6 @@ measures that metric directly from transport activity
 
 from repro.metrics.accounting import CostAccounting
 from repro.metrics.breakdown import CostBreakdown
-from repro.metrics.by_depth import bottleneck_ratio, bytes_by_depth
 from repro.metrics.registry import (
     CounterMetric,
     GaugeMetric,
@@ -27,6 +26,4 @@ __all__ = [
     "HistogramMetric",
     "MetricsRegistry",
     "TimerMetric",
-    "bottleneck_ratio",
-    "bytes_by_depth",
 ]

@@ -1,9 +1,10 @@
 """Per-peer, per-category byte accounting.
 
 The transport calls :meth:`CostAccounting.record` once per sent message;
-everything else (totals, averages, breakdowns) is derived.  Costs are
-attributed to the *sender*, matching the paper's definition of
-"bytes propagated per peer".
+everything else (totals, per-peer maps, the per-peer averages of
+:meth:`CostBreakdown.from_delta`) is derived.  Costs are attributed to
+the *sender*, matching the paper's definition of "bytes propagated per
+peer".
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable
 
-from repro.net.wire import NETFILTER_CATEGORIES, CostCategory
+from repro.net.wire import CostCategory
 
 
 class MessageCell:
@@ -39,8 +40,8 @@ class CostAccounting:
     >>> acc.record(peer=2, category=CostCategory.FILTERING, size=1200)
     >>> acc.total_bytes(CostCategory.FILTERING)
     2400
-    >>> acc.average_bytes_per_peer(n_peers=4, categories=[CostCategory.FILTERING])
-    600.0
+    >>> acc.per_peer_bytes(CostCategory.FILTERING)
+    {1: 1200, 2: 1200}
     """
 
     def __init__(self) -> None:
@@ -150,31 +151,3 @@ class CostAccounting:
         """Bytes sent by one peer over the given categories."""
         selected = self._select(categories, self._bytes)
         return sum(self._bytes.get(cat, {}).get(peer, 0) for cat in selected)
-
-    def average_bytes_per_peer(
-        self,
-        n_peers: int,
-        categories: tuple[CostCategory, ...] | list[CostCategory] | None = None,
-    ) -> float:
-        """The paper's metric: total bytes divided by the peer population.
-
-        Note the divisor is the full population ``n_peers``, not only the
-        peers that happened to transmit — a peer that sent nothing still
-        counts in the average, exactly as in the paper's formulation.
-        An explicit empty ``categories`` selects nothing and yields 0.0.
-        """
-        if n_peers <= 0:
-            raise ValueError(f"n_peers must be positive, got {n_peers}")
-        if categories is None:
-            return self.total_bytes() / n_peers
-        return self.total_bytes(tuple(categories)) / n_peers
-
-    def netfilter_average(self, n_peers: int) -> float:
-        """Average per-peer bytes over the three netFilter categories."""
-        return self.average_bytes_per_peer(n_peers, NETFILTER_CATEGORIES)
-
-    def max_peer_bytes(self, *categories: CostCategory) -> int:
-        """The heaviest-loaded peer's byte count (bottleneck analysis,
-        Section IV-A's 'no bottleneck at the root' claim)."""
-        per_peer = self.per_peer_bytes(*categories)
-        return max(per_peer.values(), default=0)

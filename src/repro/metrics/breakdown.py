@@ -2,16 +2,17 @@
 
 A :class:`CostBreakdown` is an immutable snapshot of the paper's reported
 quantities for one protocol run: the three component costs, their total,
-and the supporting counts (candidates, heavy groups, results).  Experiment
-modules build one per trial and the report layer renders them.
+and the per-peer bytes of every other category.
+:meth:`~CostBreakdown.from_delta` is the one derivation of the paper's
+metric from the byte accounting; experiment modules build one per trial
+and the report layer renders them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.metrics.accounting import CostAccounting
-from repro.net.wire import NETFILTER_CATEGORIES, CostCategory
+from repro.net.wire import CostCategory
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,6 @@ class CostBreakdown:
     sampling: float = 0.0
     gossip: float = 0.0
     sketch: float = 0.0
-    extras: dict[str, float] = field(default_factory=dict)
 
     @property
     def total(self) -> float:
@@ -52,11 +52,6 @@ class CostBreakdown:
         )
 
     @classmethod
-    def from_accounting(cls, accounting: CostAccounting, n_peers: int) -> "CostBreakdown":
-        """Summarize a :class:`CostAccounting` into per-peer averages."""
-        return cls.from_delta({}, accounting.bytes_by_category(), n_peers)
-
-    @classmethod
     def from_delta(
         cls,
         before: dict[CostCategory, int],
@@ -65,7 +60,9 @@ class CostBreakdown:
     ) -> "CostBreakdown":
         """Per-peer averages of what was charged between two
         :meth:`CostAccounting.bytes_by_category` snapshots — the cost of
-        one protocol run on a network that carries other traffic too."""
+        one protocol run on a network that carries other traffic too
+        (``before={}``: everything so far).  The divisor is the whole
+        population, not only the peers that transmitted, as in the paper."""
 
         def avg(category: CostCategory) -> float:
             return (after.get(category, 0) - before.get(category, 0)) / n_peers
@@ -81,21 +78,6 @@ class CostBreakdown:
             sketch=avg(CostCategory.SKETCH),
         )
 
-    def as_dict(self) -> dict[str, float]:
-        """Flat dictionary (used by the experiment report tables)."""
-        return {
-            "filtering": self.filtering,
-            "dissemination": self.dissemination,
-            "aggregation": self.aggregation,
-            "total": self.total,
-            "control": self.control,
-            "naive": self.naive,
-            "sampling": self.sampling,
-            "gossip": self.gossip,
-            "sketch": self.sketch,
-            **self.extras,
-        }
-
     def __str__(self) -> str:
         return (
             f"CostBreakdown(total={self.total:.1f} B/peer: "
@@ -104,6 +86,3 @@ class CostBreakdown:
             f"aggregation={self.aggregation:.1f})"
         )
 
-
-NETFILTER_TOTAL_CATEGORIES = NETFILTER_CATEGORIES
-"""Re-exported for callers that need the category tuple with the breakdown."""

@@ -216,12 +216,6 @@ class MonitorService:
             )
         if answer.staleness_epochs > cfg.max_staleness:
             telemetry.registry.counter("service.staleness_violations").inc()
-        epochs_ts = telemetry.epochs
-        if epochs_ts is not None:
-            epochs_ts.record("service.committed", 0.0 if answer.degraded else 1.0)
-            epochs_ts.record(
-                "service.staleness_epochs", float(answer.staleness_epochs)
-            )
         outcome = EpochOutcome(
             epoch=epoch,
             committed=report is not None,

@@ -30,7 +30,6 @@ from repro.telemetry.spans import SpanTracker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.metrics.accounting import CostAccounting
-    from repro.metrics.timeseries import EpochTimeseries
     from repro.sim.engine import Simulation
     from repro.telemetry.sink import JsonlTraceSink
 
@@ -54,7 +53,6 @@ class Telemetry:
         self.registry = MetricsRegistry()
         self.accounting: "CostAccounting | None" = None
         self.spans = SpanTracker(sim, self.tracer)
-        self.epochs: "EpochTimeseries | None" = None
         self._sinks: list["JsonlTraceSink"] = []
         #: ``span.<kind>`` timers, bound on a kind's first close.
         self._span_timers: dict[str, TimerMetric] = {}
@@ -106,34 +104,6 @@ class Telemetry:
         self.spans.sample_every = max(int(sample_every), 1)
         return self.spans
 
-    def enable_epochs(
-        self, epoch_length: float, capacity: int | None = None
-    ) -> "EpochTimeseries":
-        """Create (or return) the windowed epoch timeseries layer.
-
-        Repeated calls with the same ``epoch_length`` return the existing
-        instance so independent probes share one epoch grid; asking for a
-        different length once epochs exist raises.
-        """
-        from repro.metrics.timeseries import DEFAULT_CAPACITY, EpochTimeseries
-
-        existing = self.epochs
-        if existing is not None:
-            if existing.epoch_length != epoch_length:
-                raise ValueError(
-                    f"epoch timeseries already enabled with length "
-                    f"{existing.epoch_length}, not {epoch_length}"
-                )
-            return existing
-        self.epochs = EpochTimeseries(
-            self.registry,
-            self.tracer,
-            lambda: self._sim.now,
-            epoch_length=epoch_length,
-            capacity=DEFAULT_CAPACITY if capacity is None else capacity,
-        )
-        return self.epochs
-
     @property
     def sinks(self) -> tuple["JsonlTraceSink", ...]:
         """Currently attached trace sinks."""
@@ -142,12 +112,10 @@ class Telemetry:
     def close(self) -> list[str]:
         """Close every attached sink; returns the paths written.
 
-        Before detaching, any epochs the clock has passed are flushed and
-        leaked spans are swept closed (status ``unclosed``), so a finished
-        trace is always a set of *closed* span trees.
+        Before detaching, leaked spans are swept closed (status
+        ``unclosed``), so a finished trace is always a set of *closed*
+        span trees.
         """
-        if self.epochs is not None:
-            self.epochs.roll()
         self.spans.finish()
         paths = []
         for sink in self._sinks:
@@ -213,13 +181,11 @@ class Telemetry:
     # Lifecycle
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Zero the tracer, registry, spans, epochs, and (if attached) the
+        """Zero the tracer, registry, spans, and (if attached) the
         accounting — for experiment sweeps that reuse one simulation
         factory."""
         self.tracer.reset()
         self.registry.reset()
         self.spans.reset()
-        if self.epochs is not None:
-            self.epochs.reset()
         if self.accounting is not None:
             self.accounting.reset()

@@ -100,8 +100,6 @@ TRACE_KINDS: dict[str, str] = {
     "wire.msg": "causal span: one message on the wire, send to delivery",
     "agg.session": "causal span: one aggregation session, root-side",
     "agg.node": "causal span: one node's convergecast participation",
-    # -- epoch timeseries (repro.metrics.timeseries) --------------------
-    "epoch.snapshot": "a sim-time epoch closed: counter deltas + gauge/probe values",
     # -- sink framing (written by JsonlTraceSink, never emitted) -------
     "trace.meta": "first JSONL line: format version and sampling setup",
     "trace.summary": "last JSONL line: exact per-kind emit counters",

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.config import NetFilterConfig, ceil_threshold
+from repro.core.config import NetFilterConfig, carve_at_ratio, ceil_threshold
 from repro.errors import ConfigurationError
+from repro.items.itemset import LocalItemSet
 
 
 def test_valid_ratio_config():
@@ -62,6 +63,14 @@ def test_ceil_threshold_is_the_canonical_ceil(ratio, total):
 def test_ceil_threshold_agrees_with_resolve_threshold(ratio, total):
     config = NetFilterConfig(filter_size=10, threshold_ratio=ratio)
     assert config.resolve_threshold(total) == ceil_threshold(ratio, total)
+
+
+def test_carve_at_ratio_keeps_the_threshold_boundary():
+    # grand total 1000 at ratio 0.0101 -> t = ceil(10.1) = 11
+    frequent = LocalItemSet.from_pairs({1: 10, 2: 11, 3: 40})
+    items, threshold = carve_at_ratio(frequent, 0.0101, 1000)
+    assert threshold == ceil_threshold(0.0101, 1000) == 11
+    assert items == LocalItemSet.from_pairs({2: 11, 3: 40})
 
 
 def test_invalid_filter_size_rejected():

@@ -110,28 +110,3 @@ def test_reports_accumulate():
         stream.apply_to(system.network)
         monitor.run_epoch()
     assert [report.epoch for report in monitor.reports] == [0, 1, 2]
-
-
-def test_monitor_probes_feed_epoch_timeseries():
-    """With enable_epochs on, every monitoring round lands its probes
-    (staleness, changed groups, frequent-set size, savings) in the
-    windowed epoch grid."""
-    system, monitor, stream = make_monitored()
-    ts = system.sim.telemetry.enable_epochs(1.0)
-    for _ in range(2):
-        stream.apply_to(system.network)
-        monitor.run_epoch()
-    # Close the telemetry epoch holding the last round's probes.
-    system.sim.schedule(1.0, lambda: None)
-    system.sim.run()
-    ts.roll()
-    for probe, values in {
-        "monitor.staleness": [r.result.elapsed_time for r in monitor.reports],
-        "monitor.changed_groups": [float(r.changed_groups) for r in monitor.reports],
-        "monitor.frequent_items": [
-            float(len(r.result.frequent)) for r in monitor.reports
-        ],
-        "monitor.filtering_savings": [r.filtering_savings for r in monitor.reports],
-    }.items():
-        assert [v for _, v in ts.series(probe)] == values, probe
-        assert ts.latest(probe) == values[-1]

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.metrics.accounting import CostAccounting
-from repro.net.wire import CostCategory
+from repro.metrics.breakdown import CostBreakdown
+from repro.net.wire import NETFILTER_CATEGORIES, CostCategory
 
 
 @pytest.fixture
@@ -34,19 +35,24 @@ def test_per_peer(accounting):
 
 
 def test_average_divides_by_population(accounting):
-    assert accounting.average_bytes_per_peer(10) == 75.0
-    assert accounting.average_bytes_per_peer(
-        10, [CostCategory.FILTERING]
-    ) == 30.0
+    # The paper's divisor is the whole population, not the three peers
+    # that transmitted.
+    assert len(accounting.per_peer_bytes()) == 3
+    assert accounting.total_bytes() / 10 == 75.0
+    assert accounting.total_bytes([CostCategory.FILTERING]) / 10 == 30.0
+    breakdown = CostBreakdown.from_delta({}, accounting.bytes_by_category(), 10)
+    assert breakdown.filtering == 30.0
+    assert breakdown.grand_total == 75.0
 
 
 def test_average_rejects_bad_population(accounting):
-    with pytest.raises(ValueError):
-        accounting.average_bytes_per_peer(0)
+    with pytest.raises(ZeroDivisionError):
+        CostBreakdown.from_delta({}, accounting.bytes_by_category(), 0)
 
 
 def test_netfilter_average(accounting):
-    assert accounting.netfilter_average(10) == 35.0  # filtering + aggregation
+    # filtering + aggregation; the naive bytes are not netFilter's
+    assert accounting.total_bytes(NETFILTER_CATEGORIES) / 10 == 35.0
 
 
 def test_message_counts(accounting):
@@ -60,9 +66,9 @@ def test_bytes_by_category(accounting):
 
 
 def test_max_peer_bytes(accounting):
-    assert accounting.max_peer_bytes() == 400
-    assert accounting.max_peer_bytes(CostCategory.FILTERING) == 200
-    assert CostAccounting().max_peer_bytes() == 0
+    assert max(accounting.per_peer_bytes().values()) == 400
+    assert max(accounting.per_peer_bytes(CostCategory.FILTERING).values()) == 200
+    assert CostAccounting().per_peer_bytes() == {}
 
 
 def test_reset(accounting):
@@ -77,7 +83,6 @@ def test_explicit_empty_selection_means_zero(accounting):
     assert accounting.message_count([]) == 0
     assert accounting.per_peer_bytes([]) == {}
     assert accounting.peer_bytes(1, []) == 0
-    assert accounting.average_bytes_per_peer(10, categories=[]) == 0.0
 
 
 def test_iterable_selection_matches_varargs(accounting):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-
 from repro.metrics.accounting import CostAccounting
 from repro.metrics.breakdown import CostBreakdown
 from repro.net.wire import CostCategory
@@ -23,23 +22,16 @@ def test_grand_total_includes_everything():
     assert breakdown.grand_total == 7.0
 
 
-def test_from_accounting_divides_by_population():
+def test_from_delta_of_empty_snapshot_divides_by_population():
     accounting = CostAccounting()
     accounting.record(0, CostCategory.FILTERING, 100)
     accounting.record(1, CostCategory.DISSEMINATION, 40)
     accounting.record(2, CostCategory.AGGREGATION, 60)
-    breakdown = CostBreakdown.from_accounting(accounting, n_peers=10)
+    breakdown = CostBreakdown.from_delta({}, accounting.bytes_by_category(), n_peers=10)
     assert breakdown.filtering == 10.0
     assert breakdown.dissemination == 4.0
     assert breakdown.aggregation == 6.0
     assert breakdown.total == 20.0
-
-
-def test_as_dict_includes_extras():
-    breakdown = CostBreakdown(filtering=1.0, extras={"candidates": 42.0})
-    flattened = breakdown.as_dict()
-    assert flattened["candidates"] == 42.0
-    assert flattened["total"] == 1.0
 
 
 def test_str_mentions_total():
