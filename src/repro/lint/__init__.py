@@ -4,42 +4,24 @@ Run as ``python -m repro.lint src tests`` (or the ``repro-lint``
 console script).  Rules are documented in ``docs/LINT_RULES.md``;
 suppress a single finding with ``# repro-lint: disable=RULEID``.
 
-Per-file rules subclass :class:`Rule`; whole-program rules subclass
-:class:`ProjectRule` and run once over the :class:`ProtocolModel` the
-engine assembles from every linted file (see ``DESIGN.md``).
+Every rule subclasses :class:`Rule` and runs per file, against the
+:class:`ProjectFacts` the engine gathers from every linted file first.
 """
 
-from repro.lint.cache import LintCache
-from repro.lint.cfg import CFG
 from repro.lint.engine import gather_paths, lint_paths, lint_source
 from repro.lint.facts import ProjectFacts, attach_parents
 from repro.lint.findings import Finding
-from repro.lint.graph import MessageFlowGraph
-from repro.lint.model import FileSummary, ProtocolModel, extract_summary
-from repro.lint.registry import (
-    ProjectRule,
-    Rule,
-    all_rules,
-    known_rule_ids,
-    rule,
-)
+from repro.lint.registry import Rule, all_rules, known_rule_ids, rule
 from repro.lint.sarif import render_sarif
 from repro.lint.suppressions import Suppressions, parse_suppressions
 
 __all__ = [
-    "CFG",
-    "FileSummary",
     "Finding",
-    "LintCache",
-    "MessageFlowGraph",
     "ProjectFacts",
-    "ProjectRule",
-    "ProtocolModel",
     "Rule",
     "Suppressions",
     "all_rules",
     "attach_parents",
-    "extract_summary",
     "gather_paths",
     "known_rule_ids",
     "lint_paths",

@@ -7,7 +7,6 @@ import json
 import sys
 from typing import Sequence
 
-from repro.lint.cache import DEFAULT_CACHE_DIR, LintCache
 from repro.lint.engine import lint_paths
 from repro.lint.registry import all_rules, known_rule_ids
 from repro.lint.sarif import render_sarif
@@ -41,16 +40,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="comma-separated rule ids to skip (repeatable)",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="parse every file fresh instead of using the on-disk cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"cache location (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the registered rules and exit",
@@ -79,8 +68,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if disabled:
         rules = [rule_obj for rule_obj in rules if rule_obj.id not in disabled]
 
-    cache = None if args.no_cache else LintCache(args.cache_dir)
-    findings = lint_paths(args.paths, rules=rules, cache=cache)
+    findings = lint_paths(args.paths, rules=rules)
     if args.format == "json":
         print(json.dumps([f.to_json() for f in findings], indent=2))
     elif args.format == "sarif":

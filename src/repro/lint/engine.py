@@ -1,44 +1,21 @@
-"""Lint engine: path gathering, the facts/model pass, and rule execution.
+"""Lint engine: path gathering, the facts pass, and rule execution.
 
-Three-pass design.  Pass one loads every target — from the cache when
-``(path, mtime, size)`` still matches, else by parsing — and extracts a
-:class:`~repro.lint.model.FileSummary` (which carries the cross-file
-facts).  Pass two runs the per-file rules on each file, reusing cached
-findings when the file *and* the shared facts it was linted against are
-both unchanged.  Pass three assembles the summaries into one
-:class:`~repro.lint.model.ProtocolModel` and runs the whole-program
-:class:`~repro.lint.registry.ProjectRule` set over it, filtering each
-finding through the suppressions of the file it points at.
+Two passes.  Pass one parses every target and folds it into one
+:class:`~repro.lint.facts.ProjectFacts` (the cross-file tables DET003
+and DET004 read).  Pass two runs every rule on each file against those
+facts and drops the findings the file's own suppressions silence.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import os
-from dataclasses import dataclass
 from typing import Sequence
 
-from repro.lint.cache import LintCache
 from repro.lint.facts import ProjectFacts, attach_parents
 from repro.lint.findings import Finding
-from repro.lint.model import FileSummary, ProtocolModel, extract_summary
-from repro.lint.registry import ProjectRule, Rule, all_rules
-from repro.lint.suppressions import Suppressions, parse_suppressions
-
-
-@dataclass
-class _Target:
-    path: str
-    summary: FileSummary
-    suppressions: Suppressions
-    #: Findings reused from the cache; None means "must lint fresh".
-    cached_findings: list[Finding] | None
-    #: Fingerprint the cached findings were computed against.
-    cached_fingerprint: str | None = None
-    #: Parsed tree, available when the file was read this run.
-    tree: ast.Module | None = None
-    source: str | None = None
+from repro.lint.registry import Rule, all_rules
+from repro.lint.suppressions import parse_suppressions
 
 
 def gather_paths(paths: Sequence[str]) -> list[str]:
@@ -66,143 +43,29 @@ def gather_paths(paths: Sequence[str]) -> list[str]:
     return sorted(files)
 
 
-def _facts_fingerprint(facts: ProjectFacts, file_rules: Sequence[Rule]) -> str:
-    """Everything a per-file rule reads from *outside* its file, hashed.
-
-    Covers the merged cross-file fact tables, the active per-file rule
-    set, and the declared trace kinds (PROTO002 imports them at lint
-    time).  A cached finding is only reused while this matches.
-    """
-    hasher = hashlib.sha1()
-    for attr in sorted(facts.set_attributes):
-        hasher.update(b"a:" + attr.encode("utf-8"))
-    for fn in sorted(facts.set_returning_functions):
-        hasher.update(b"f:" + fn.encode("utf-8"))
-    for rule_obj in sorted((r.id for r in file_rules)):
-        hasher.update(b"r:" + rule_obj.encode("utf-8"))
-    try:
-        from repro.telemetry.kinds import TRACE_KINDS
-
-        for kind in sorted(TRACE_KINDS):
-            hasher.update(b"k:" + kind.encode("utf-8"))
-    except ImportError:  # pragma: no cover - lint package used standalone
-        pass
-    return hasher.hexdigest()
-
-
 def lint_paths(
-    paths: Sequence[str],
-    rules: Sequence[Rule] | None = None,
-    cache: LintCache | None = None,
-    stats: dict[str, int] | None = None,
+    paths: Sequence[str], rules: Sequence[Rule] | None = None
 ) -> list[Finding]:
-    """Lint files/directories; returns sorted findings (empty == clean).
-
-    ``cache`` enables the on-disk parse/facts cache (the CLI passes one
-    by default; library callers opt in).  ``stats``, when given, is
-    filled with ``files``/``parsed``/``from_cache`` counters so tests
-    and tooling can assert cache behaviour.
-    """
+    """Lint files/directories; returns sorted findings (empty == clean)."""
     chosen = list(rules) if rules is not None else all_rules()
-    file_rules = [r for r in chosen if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in chosen if isinstance(r, ProjectRule)]
     findings: list[Finding] = []
-    targets: list[_Target] = []
+    parsed: list[tuple[str, str, ast.Module]] = []
     facts = ProjectFacts()
-    parsed = 0
-
     for path in gather_paths(paths):
-        entry = cache.load(path) if cache is not None else None
-        if entry is not None:
-            # Findings reuse is decided later, once the fingerprint of
-            # the *merged* facts is known; stash the stored one.
-            target = _Target(
-                path=path,
-                summary=entry.summary,
-                suppressions=entry.suppressions,
-                cached_findings=list(entry.findings),
-                cached_fingerprint=entry.facts_fingerprint,
+        try:
+            with open(path, encoding="utf-8") as handle:
+                source = handle.read()
+            tree = ast.parse(source, filename=path)
+        except (OSError, SyntaxError, ValueError) as exc:
+            findings.append(
+                Finding(path=path, line=1, col=0, rule="PARSE", message=str(exc))
             )
-        else:
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    source = handle.read()
-                tree = ast.parse(source, filename=path)
-            except (OSError, SyntaxError, ValueError) as exc:
-                findings.append(
-                    Finding(path=path, line=1, col=0, rule="PARSE", message=str(exc))
-                )
-                continue
-            parsed += 1
-            attach_parents(tree)
-            target = _Target(
-                path=path,
-                summary=extract_summary(path, tree),
-                suppressions=parse_suppressions(source),
-                cached_findings=None,
-                tree=tree,
-                source=source,
-            )
-        facts.set_attributes |= target.summary.set_attributes
-        facts.set_returning_functions |= target.summary.set_returning_functions
-        targets.append(target)
-
-    fingerprint = _facts_fingerprint(facts, file_rules)
-    from_cache = 0
-    for target in targets:
-        if (
-            target.cached_findings is not None
-            and target.cached_fingerprint == fingerprint
-        ):
-            findings.extend(target.cached_findings)
-            from_cache += 1
             continue
-        if target.tree is None:
-            # Summary came from the cache but the shared facts moved
-            # under the stored findings: re-parse just for the rules.
-            try:
-                with open(target.path, encoding="utf-8") as handle:
-                    target.source = handle.read()
-                target.tree = ast.parse(target.source, filename=target.path)
-            except (OSError, SyntaxError, ValueError) as exc:
-                findings.append(
-                    Finding(
-                        path=target.path, line=1, col=0, rule="PARSE", message=str(exc)
-                    )
-                )
-                continue
-            parsed += 1
-            attach_parents(target.tree)
-        file_findings = _lint_tree(
-            target.tree, target.source or "", target.path, facts, file_rules,
-            target.suppressions,
-        )
-        findings.extend(file_findings)
-        if cache is not None:
-            cache.store(
-                target.path,
-                target.summary,
-                target.suppressions,
-                fingerprint,
-                file_findings,
-            )
-
-    if project_rules:
-        by_path = {target.path: target for target in targets}
-        model = ProtocolModel.build([target.summary for target in targets])
-        for rule_obj in project_rules:
-            for finding in rule_obj.check_project(model):
-                if not rule_obj.applies_to(finding.path):
-                    continue
-                target = by_path.get(finding.path)
-                if target is not None and target.suppressions.is_suppressed(finding):
-                    continue
-                findings.append(finding)
-
-    if stats is not None:
-        stats["files"] = len(targets)
-        stats["parsed"] = parsed
-        stats["from_cache"] = from_cache
+        attach_parents(tree)
+        facts.merge_from(tree, path)
+        parsed.append((path, source, tree))
+    for path, source, tree in parsed:
+        findings.extend(_lint_tree(tree, source, path, facts, chosen))
     return sorted(findings)
 
 
@@ -216,29 +79,16 @@ def lint_source(
 
     ``path`` matters: rules scope themselves by path (DET001 skips
     ``telemetry``, PROTO002 skips ``tests``), so fixture tests pass a
-    src-like fake path when exercising scoped rules.  Whole-program
-    rules run over a model built from just this module.
+    src-like fake path when exercising scoped rules.  Without ``facts``
+    the cross-file tables hold this module alone.
     """
     chosen = list(rules) if rules is not None else all_rules()
-    file_rules = [r for r in chosen if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in chosen if isinstance(r, ProjectRule)]
     tree = ast.parse(source, filename=path)
     attach_parents(tree)
     if facts is None:
         facts = ProjectFacts()
-        facts.merge_from(tree)
-    suppressions = parse_suppressions(source)
-    findings = _lint_tree(tree, source, path, facts, file_rules, suppressions)
-    if project_rules:
-        model = ProtocolModel.build([extract_summary(path, tree)])
-        for rule_obj in project_rules:
-            for finding in rule_obj.check_project(model):
-                if not rule_obj.applies_to(finding.path):
-                    continue
-                if suppressions.is_suppressed(finding):
-                    continue
-                findings.append(finding)
-    return sorted(findings)
+        facts.merge_from(tree, path)
+    return sorted(_lint_tree(tree, source, path, facts, chosen))
 
 
 def _lint_tree(
@@ -247,10 +97,8 @@ def _lint_tree(
     path: str,
     facts: ProjectFacts,
     rules: Sequence[Rule],
-    suppressions: Suppressions | None = None,
 ) -> list[Finding]:
-    if suppressions is None:
-        suppressions = parse_suppressions(source)
+    suppressions = parse_suppressions(source)
     findings: list[Finding] = []
     for rule_obj in rules:
         if not rule_obj.applies_to(path):

@@ -1,4 +1,5 @@
-"""Cross-file facts gathered before rules run.
+"""Cross-file facts gathered before rules run, and the path and name
+helpers every rule shares.
 
 Some determinism properties are not visible inside a single module: the
 hierarchy's ``downstream`` set is *annotated* in ``repro.hierarchy.roles``
@@ -6,20 +7,81 @@ but *iterated* in ``repro.hierarchy.maintenance``.  The engine therefore
 makes a first pass over every linted file and records
 
 * attribute names declared with a ``set``/``frozenset`` annotation
-  (class bodies and ``self.x: set[...]`` assignments), and
-* function/method names whose return annotation is a set,
+  (class bodies and ``self.x: set[...]`` assignments),
+* function/method names whose return annotation is a set, and
+* for each literal ``<...>.rng.stream("name")``, the protocol-package
+  files that acquire it,
 
-so the DET003 rule can recognise ``for child in state.downstream`` or
+so DET003 can recognise ``for child in state.downstream`` or
 ``for c in hierarchy.children_of(p)`` as unordered iteration wherever
-they occur.
+they occur, and DET004 can see one stream shared by two modules.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from typing import Iterator
 
 _SET_TYPE_NAMES = frozenset({"set", "frozenset", "Set", "FrozenSet", "AbstractSet"})
+
+#: Packages whose modules make protocol decisions; DET004 is scoped to
+#: these (experiments deliberately share the "topology"/"workload"
+#: streams across trials, and sim plumbing is not a protocol).
+PROTOCOL_PACKAGES = frozenset({"net", "hierarchy", "aggregation", "core", "faults"})
+
+
+def path_parts(path: str) -> list[str]:
+    """A path's components, with either separator."""
+    return path.replace("\\", "/").split("/")
+
+
+def is_test_path(path: str) -> bool:
+    """Whether ``path`` is test code (lint fixtures count as library
+    code, so the rules they exercise still run on them)."""
+    parts = path_parts(path)
+    return "tests" in parts and "fixtures" not in parts
+
+
+def is_protocol_path(path: str) -> bool:
+    """Whether ``path`` is a module of one of :data:`PROTOCOL_PACKAGES`."""
+    parts = path_parts(path)
+    return "tests" not in parts and bool(PROTOCOL_PACKAGES.intersection(parts))
+
+
+def dotted_name(node: ast.expr) -> str | None:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
+    parts: list[str] = []
+    current = node
+    while isinstance(current, ast.Attribute):
+        parts.append(current.attr)
+        current = current.value
+    if not isinstance(current, ast.Name):
+        return None
+    parts.append(current.id)
+    return ".".join(reversed(parts))
+
+
+def rng_stream_calls(tree: ast.Module) -> Iterator[tuple[str, ast.Call]]:
+    """Every ``<owner>.stream("name")`` call whose owner has a segment
+    containing ``rng`` and whose name is a string literal."""
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "stream"
+            and node.args
+        ):
+            continue
+        owner = dotted_name(node.func.value)
+        arg = node.args[0]
+        if (
+            owner is not None
+            and any("rng" in part for part in owner.split("."))
+            and isinstance(arg, ast.Constant)
+            and isinstance(arg.value, str)
+        ):
+            yield arg.value, node
 
 
 @dataclass
@@ -30,9 +92,15 @@ class ProjectFacts:
     set_attributes: set[str] = field(default_factory=set)
     #: Function/method names annotated to return a set/frozenset.
     set_returning_functions: set[str] = field(default_factory=set)
+    #: Literal RNG stream name -> protocol-package files acquiring it.
+    rng_streams: dict[str, set[str]] = field(default_factory=dict)
 
-    def merge_from(self, tree: ast.Module) -> None:
-        """Fold one parsed module into the fact tables."""
+    def merge_from(self, tree: ast.Module, path: str) -> None:
+        """Fold one parsed module, linted as ``path``, into the fact
+        tables."""
+        if is_protocol_path(path):
+            for name, _ in rng_stream_calls(tree):
+                self.rng_streams.setdefault(name, set()).add(path)
         for node in ast.walk(tree):
             if isinstance(node, ast.AnnAssign):
                 if annotation_is_set(node.annotation) or _value_is_set(node.value):

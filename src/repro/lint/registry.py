@@ -12,13 +12,10 @@ automatically.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator, TypeVar
+from typing import Iterator, TypeVar
 
 from repro.lint.facts import ProjectFacts
 from repro.lint.findings import Finding
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.lint.model import ProtocolModel
 
 
 class Rule:
@@ -62,37 +59,6 @@ class Rule:
             rule=self.id,
             message=message,
         )
-
-
-class ProjectRule(Rule):
-    """A whole-program rule: runs once over the protocol-flow model
-    instead of per file.
-
-    The engine builds one :class:`~repro.lint.model.ProtocolModel` from
-    every linted file (tests included — a handler registered in a test
-    still counts as a handler) and calls :meth:`check_project` once.
-    Each finding is then filtered through :meth:`Rule.applies_to` and
-    the suppression directives of the file it points at, exactly like a
-    per-file finding.
-    """
-
-    def check(
-        self, tree: ast.Module, source: str, path: str, facts: ProjectFacts
-    ) -> Iterator[Finding]:
-        """Project rules do not run per file."""
-        return iter(())
-
-    def check_project(self, model: "ProtocolModel") -> Iterator[Finding]:
-        """Yield findings over the whole-program model."""
-        raise NotImplementedError
-        yield  # pragma: no cover - makes this a generator for type checkers
-
-    def finding_at(
-        self, path: str, line: int, col: int, message: str
-    ) -> Finding:
-        """Build a finding from summary-record coordinates (project
-        rules work from picklable summaries, not live AST nodes)."""
-        return Finding(path=path, line=line, col=col, rule=self.id, message=message)
 
 
 _RULES: dict[str, type[Rule]] = {}

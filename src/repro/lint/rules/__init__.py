@@ -7,7 +7,5 @@ from this ``__init__``) and register themselves with ``@rule``.
 
 from repro.lint.rules import api as api  # noqa: F401
 from repro.lint.rules import determinism as determinism  # noqa: F401
-from repro.lint.rules import flow as flow  # noqa: F401
-from repro.lint.rules import observability as observability  # noqa: F401
 from repro.lint.rules import perf as perf  # noqa: F401
 from repro.lint.rules import protocol as protocol  # noqa: F401

@@ -5,7 +5,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.facts import ProjectFacts
+from repro.lint.facts import ProjectFacts, is_test_path
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, rule
 
@@ -23,11 +23,6 @@ _TIME_NAMES = frozenset(
         "deadline",
     }
 )
-
-
-def _in_tests(path: str) -> bool:
-    parts = path.replace("\\", "/").split("/")
-    return "tests" in parts and "fixtures" not in parts
 
 
 def _names_time(node: ast.expr) -> bool:
@@ -59,7 +54,7 @@ class ApiHygieneRule(Rule):
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._check_defaults(path, node)
-            elif isinstance(node, ast.Compare) and not _in_tests(path):
+            elif isinstance(node, ast.Compare) and not is_test_path(path):
                 yield from self._check_time_equality(path, node)
 
     def _check_defaults(

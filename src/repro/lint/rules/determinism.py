@@ -1,12 +1,12 @@
 """Determinism rules: DET001 (wall clock), DET002 (unseeded randomness),
-DET003 (unordered iteration).
+DET003 (unordered iteration), DET004 (shared RNG streams).
 
 The simulation's claims — exact IFI results, reproducible cost curves,
 replayable JSONL traces — hold only if every run is a pure function of
-its seed.  These rules flag the three ways Python code silently breaks
-that: reading the wall clock, drawing from a global RNG, and iterating
-an unordered collection where the order reaches a message, a schedule,
-or a trace.
+its seed.  These rules flag the four ways Python code silently breaks
+that: reading the wall clock, drawing from a global RNG, iterating an
+unordered collection where the order reaches a message, a schedule, or
+a trace, and two protocol modules interleaving draws on one stream.
 """
 
 from __future__ import annotations
@@ -14,27 +14,15 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.facts import ProjectFacts
+from repro.lint.facts import (
+    ProjectFacts,
+    dotted_name,
+    is_protocol_path,
+    path_parts,
+    rng_stream_calls,
+)
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, rule
-
-
-def _dotted_name(node: ast.expr) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: list[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    parts.append(current.id)
-    return ".".join(reversed(parts))
-
-
-def _is_test_path(path: str) -> bool:
-    parts = path.replace("\\", "/").split("/")
-    return "tests" in parts and "fixtures" not in parts
 
 
 #: Call targets that read the wall clock, by dotted name.
@@ -86,8 +74,7 @@ class WallClockRule(Rule):
     summary = "wall-clock call (time.time / datetime.now / perf_counter) in sim code"
 
     def applies_to(self, path: str) -> bool:
-        parts = path.replace("\\", "/").split("/")
-        return "telemetry" not in parts
+        return "telemetry" not in path_parts(path)
 
     def check(
         self, tree: ast.Module, source: str, path: str, facts: ProjectFacts
@@ -101,14 +88,14 @@ class WallClockRule(Rule):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted_name(node.func)
+            dotted = dotted_name(node.func)
             if dotted in _WALL_CLOCK_CALLS or (
                 isinstance(node.func, ast.Name) and node.func.id in time_imports
             ):
                 yield self.finding(
                     path,
                     node,
-                    f"wall-clock call {dotted or _dotted_name(node.func)}() in "
+                    f"wall-clock call {dotted or dotted_name(node.func)}() in "
                     "simulation code; use sim.now (simulated time) or move the "
                     "measurement into telemetry",
                 )
@@ -178,7 +165,7 @@ class UnseededRandomnessRule(Rule):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted_name(node.func)
+            dotted = dotted_name(node.func)
             parts = dotted.split(".") if dotted else []
             finding = None
             if len(parts) == 2 and parts[0] in stdlib_module_aliases:
@@ -356,3 +343,37 @@ class UnorderedIterationRule(Rule):
                     return self._is_unordered(func.value, local_sets, facts)
                 return func.attr in facts.set_returning_functions
         return False
+
+
+@rule
+class SharedRngStreamRule(Rule):
+    """DET004: one named RNG stream acquired by two protocol modules.
+
+    ``sim.rng.stream("name")`` hands every caller the same generator, so
+    two protocol modules that acquire one name interleave their draws:
+    a change in how often one draws reshuffles the other, and neither
+    component replays independently.  The cross-file table is
+    :attr:`ProjectFacts.rng_streams`; only literal names are tracked.
+    """
+
+    id = "DET004"
+    summary = "RNG stream shared across protocol modules"
+
+    def applies_to(self, path: str) -> bool:
+        return is_protocol_path(path)
+
+    def check(
+        self, tree: ast.Module, source: str, path: str, facts: ProjectFacts
+    ) -> Iterator[Finding]:
+        for name, node in rng_stream_calls(tree):
+            modules = sorted(facts.rng_streams.get(name, ()))
+            if len(modules) < 2:
+                continue
+            yield self.finding(
+                path,
+                node,
+                f"RNG stream '{name}' is consumed from {len(modules)} "
+                f"protocol modules ({', '.join(modules)}): their draw "
+                "sequences interleave, so neither component replays "
+                "independently — derive a per-component stream name",
+            )

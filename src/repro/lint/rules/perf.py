@@ -20,26 +20,14 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.facts import ProjectFacts
+from repro.lint.facts import ProjectFacts, dotted_name, is_test_path, path_parts
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, rule
 
 
-def _dotted_name(node: ast.expr) -> str | None:
-    parts: list[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    parts.append(current.id)
-    return ".".join(reversed(parts))
-
-
 def _is_trace_emit(node: ast.Call) -> bool:
     """``trace.emit(...)`` / ``sim.trace.emit(...)`` / ``self._sim.trace.emit(...)``."""
-    dotted = _dotted_name(node.func)
+    dotted = dotted_name(node.func)
     if dotted is None:
         return False
     parts = dotted.split(".")
@@ -66,7 +54,7 @@ def _guard_tests_active(test: ast.expr) -> bool:
     on any name ending in ``trace``/``tracer``)."""
     for node in ast.walk(test):
         if isinstance(node, ast.Attribute) and node.attr == "active":
-            owner = _dotted_name(node.value)
+            owner = dotted_name(node.value)
             if owner is not None and owner.split(".")[-1] in ("trace", "tracer"):
                 return True
     return False
@@ -98,10 +86,9 @@ class UnguardedTracePayloadRule(Rule):
     summary = "dict/list/f-string built for trace.emit() without an `if trace.active` guard"
 
     def applies_to(self, path: str) -> bool:
-        # Hot-path discipline is for library code; tests and fixtures
-        # trade a few allocations for readable assertions.
-        parts = path.replace("\\", "/").split("/")
-        return "tests" not in parts
+        # Hot-path discipline is for library code; tests trade a few
+        # allocations for readable assertions.
+        return not is_test_path(path)
 
     def check(
         self, tree: ast.Module, source: str, path: str, facts: ProjectFacts
@@ -128,14 +115,14 @@ def _is_numpy_call(node: ast.expr) -> bool:
     """``np.anything(...)`` / ``numpy.lib.anything(...)``."""
     if not isinstance(node, ast.Call):
         return False
-    dotted = _dotted_name(node.func)
+    dotted = dotted_name(node.func)
     return dotted is not None and dotted.split(".")[0] in ("np", "numpy")
 
 
 def _is_ndarray_annotation(annotation: ast.expr | None) -> bool:
     if annotation is None:
         return False
-    dotted = _dotted_name(annotation)
+    dotted = dotted_name(annotation)
     return dotted in ("np.ndarray", "numpy.ndarray", "ndarray")
 
 
@@ -209,8 +196,7 @@ class ScalarLoopInVectorTierRule(Rule):
     summary = "per-element python loop over a numpy array in src/repro/vec"
 
     def applies_to(self, path: str) -> bool:
-        parts = path.replace("\\", "/").split("/")
-        return "vec" in parts and "tests" not in parts
+        return "vec" in path_parts(path) and not is_test_path(path)
 
     def check(
         self, tree: ast.Module, source: str, path: str, facts: ProjectFacts

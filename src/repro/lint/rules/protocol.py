@@ -1,11 +1,13 @@
-"""Protocol-invariant rules: PROTO001 (payload registration) and
-PROTO002 (trace-kind declaration).
+"""Protocol-invariant rules: PROTO001 (payload registration), PROTO002
+(trace-kind declaration) and PROTO004 (``body_bytes`` priced from the
+``SizeModel``).
 
-These are the static halves of two runtime registries: the wire codec
-(:mod:`repro.net.codec`) and the trace-kind table
+PROTO001 and PROTO002 are the static halves of two runtime registries:
+the wire codec (:mod:`repro.net.codec`) and the trace-kind table
 (:mod:`repro.telemetry.kinds`).  The registries catch violations at
 runtime *if the offending path executes*; these rules catch them at
-review time whether or not any test exercises the path.
+review time whether or not any test exercises the path.  PROTO004 has
+no runtime twin: a hard-coded wire size runs fine and is simply wrong.
 """
 
 from __future__ import annotations
@@ -13,14 +15,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.facts import ProjectFacts
+from repro.lint.facts import ProjectFacts, dotted_name, is_test_path
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, rule
-
-
-def _in_tests(path: str) -> bool:
-    parts = path.replace("\\", "/").split("/")
-    return "tests" in parts and "fixtures" not in parts
 
 
 def _decorator_names(node: ast.ClassDef) -> set[str]:
@@ -117,7 +114,7 @@ class TraceKindRule(Rule):
     summary = "telemetry emit()/span() kind not declared in repro.telemetry.kinds"
 
     def applies_to(self, path: str) -> bool:
-        return not _in_tests(path)
+        return not is_test_path(path)
 
     def check(
         self, tree: ast.Module, source: str, path: str, facts: ProjectFacts
@@ -159,3 +156,62 @@ class TraceKindRule(Rule):
             if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
                 return arg.value
         return None
+
+
+def _is_abstract(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    """Decorated ``@abstractmethod``, or a body that raises."""
+    for decorator in func.decorator_list:
+        name = dotted_name(decorator)
+        if name is not None and name.rsplit(".", 1)[-1] == "abstractmethod":
+            return True
+    return any(isinstance(node, ast.Raise) for node in ast.walk(func))
+
+
+@rule
+class ModelPricedBodyRule(Rule):
+    """PROTO004: a ``body_bytes`` that never reads its ``SizeModel``.
+
+    Every payload prices its body from the ``SizeModel`` it is handed
+    (§IV's cost per category is a function of the model's field
+    widths).  A ``body_bytes`` that returns a hard-coded size runs, and
+    no test notices, but it stops following size-model sweeps.  Abstract
+    methods and bodies that raise are exempt.
+    """
+
+    id = "PROTO004"
+    summary = "body_bytes() never reads its SizeModel parameter"
+
+    def applies_to(self, path: str) -> bool:
+        return not is_test_path(path)
+
+    def check(
+        self, tree: ast.Module, source: str, path: str, facts: ProjectFacts
+    ) -> Iterator[Finding]:
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for func in cls.body:
+                if not (
+                    isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and func.name == "body_bytes"
+                ):
+                    continue
+                positional = [*func.args.posonlyargs, *func.args.args]
+                if len(positional) < 2 or _is_abstract(func):
+                    continue
+                model = positional[1].arg
+                if any(
+                    isinstance(node, ast.Name)
+                    and node.id == model
+                    and isinstance(node.ctx, ast.Load)
+                    for node in ast.walk(func)
+                ):
+                    continue
+                yield self.finding(
+                    path,
+                    func,
+                    f"body_bytes() of {cls.name} never reads its SizeModel "
+                    "parameter: the wire size is hard-coded and will not "
+                    "follow size-model changes, skewing the byte-cost "
+                    "curves (Section IV)",
+                )

@@ -33,13 +33,6 @@ P = TypeVar("P", bound=Payload)
 #: subclasses register under ``Base@tag``).
 _PAYLOAD_TYPES: dict[str, type[Payload]] = {}
 
-#: Payload class names the transport consumes itself instead of
-#: dispatching to node handlers (``Transport._deliver_batch`` completes
-#: the pending reliable send on an ACK and never delivers it).  Dispatch
-#: metadata for tooling: the PROTO003 dead-letter rule exempts these,
-#: since "sent but no register_handler anywhere" is their design.
-TRANSPORT_CONSUMED_PAYLOADS: frozenset[str] = frozenset({"TransportAckPayload"})
-
 
 def register_payload(cls: type[P]) -> type[P]:
     """Class decorator: validate and register one payload type.

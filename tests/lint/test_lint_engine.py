@@ -1,6 +1,8 @@
 """Engine and CLI behaviour: path gathering, output formats, exit codes."""
 
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -50,18 +52,13 @@ def test_lint_paths_flags_fixture_when_named_explicitly(tmp_path):
 
 
 def test_known_rule_ids_cover_the_documented_set():
-    assert {
-        "DET001",
-        "DET002",
-        "DET003",
-        "DET004",
-        "OBS002",
-        "PROTO001",
-        "PROTO002",
-        "PROTO003",
-        "PROTO004",
-        "API001",
-    } <= set(known_rule_ids())
+    """Every registered rule has a ``### RULEID —`` section in
+    docs/LINT_RULES.md, and every section names a registered rule."""
+    doc = pathlib.Path(__file__).parents[2] / "docs" / "LINT_RULES.md"
+    documented = set(
+        re.findall(r"^### ([A-Z]+[0-9]+) —", doc.read_text(encoding="utf-8"), re.M)
+    )
+    assert known_rule_ids() == documented
 
 
 def test_suppression_parsing_forms():
@@ -136,10 +133,10 @@ def test_cli_list_rules(run_cli):
         "DET002",
         "DET003",
         "DET004",
-        "OBS002",
+        "PERF001",
+        "PERF002",
         "PROTO001",
         "PROTO002",
-        "PROTO003",
         "PROTO004",
         "API001",
     ):
@@ -149,7 +146,7 @@ def test_cli_list_rules(run_cli):
 def test_cli_sarif_output(run_cli, tmp_path):
     dirty = tmp_path / "dirty.py"
     dirty.write_text("import time\n\n\ndef f():\n    return time.time()\n")
-    result = run_cli("--format=sarif", "--no-cache", str(dirty))
+    result = run_cli("--format=sarif", str(dirty))
     assert result.returncode == 1
     log = json.loads(result.stdout)
     assert log["version"] == "2.1.0"
@@ -166,7 +163,7 @@ def test_cli_sarif_output(run_cli, tmp_path):
 def test_cli_disable_skips_rules(run_cli, tmp_path):
     dirty = tmp_path / "dirty.py"
     dirty.write_text("import time\n\n\ndef f():\n    return time.time()\n")
-    result = run_cli("--no-cache", "--disable=DET001", str(dirty))
+    result = run_cli("--disable=DET001", str(dirty))
     assert result.returncode == 0
     assert result.stdout.strip() == ""
 

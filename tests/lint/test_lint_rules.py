@@ -6,9 +6,9 @@ Fixtures use the ``.pytxt`` extension so a directory-level
 picks up explicitly named files regardless of extension, which is how
 these tests feed them in.
 
-DET004's fixtures are exercised with the rule selected explicitly: its
-taint sources (unseeded ``random.Random()``) are also DET002's beat, so
-the generic trips-exactly-its-rule pattern cannot apply.
+DET004 needs two files to fire, so its fixtures are linted through
+``lint_paths`` beside a second protocol module instead of through the
+single-file pattern.
 """
 
 import pathlib
@@ -27,11 +27,9 @@ RULES = [
     "DET001",
     "DET002",
     "DET003",
-    "OBS002",
     "PERF001",
     "PROTO001",
     "PROTO002",
-    "PROTO003",
     "PROTO004",
     "API001",
 ]
@@ -39,14 +37,12 @@ RULES = [
 #: Findings expected from each rule's flagged fixture.
 EXPECTED_COUNTS = {
     "DET001": 2,  # time.time() + bare perf_counter()
-    "DET002": 3,  # random.shuffle + np.random.random + bare default_rng()
+    "DET002": 4,  # random.shuffle + np.random.random + bare default_rng() + random.Random()
     "DET003": 3,  # for over set param, .keys() comp, list(a - b) comp
-    "OBS002": 3,  # discarded open, early-return leak, finally w/o close
     "PERF001": 3,  # unguarded f-string, dict literal, list comprehension
     "PROTO001": 4,  # Unregistered: 1 aspect; Bare: all 3 aspects
     "PROTO002": 2,  # typo'd emit kind + typo'd span kind
-    "PROTO003": 2,  # one dead-letter send + one dead handler
-    "PROTO004": 2,  # hard-coded body_bytes + category disagreement
+    "PROTO004": 2,  # hard-coded body_bytes on a payload and on a plain class
     "API001": 3,  # two mutable defaults + one float-time equality
 }
 
@@ -86,12 +82,6 @@ def test_det001_exempts_telemetry_paths():
     assert findings == []
 
 
-def test_obs002_exempts_test_paths():
-    source = (FIXTURES / "obs002_flagged.pytxt").read_text(encoding="utf-8")
-    findings = lint_source(source, path="tests/core/test_fixture.py")
-    assert findings == []
-
-
 def test_proto002_exempts_test_paths():
     source = (FIXTURES / "proto002_flagged.pytxt").read_text(encoding="utf-8")
     findings = lint_source(source, path="tests/core/test_fixture.py")
@@ -114,7 +104,7 @@ def test_det003_uses_cross_file_facts():
     declaring = ast.parse("class Roles:\n    downstream: set = frozenset()\n")
     attach_parents(declaring)
     facts = ProjectFacts()
-    facts.merge_from(declaring)
+    facts.merge_from(declaring, "src/repro/hierarchy/roles.py")
 
     consuming = "def fanout(state):\n    return [c for c in state.downstream]\n"
     findings = lint_source(consuming, path=SRC_LIKE, facts=facts)
@@ -132,34 +122,59 @@ def test_det003_sees_unannotated_set_attributes():
 
 
 # ----------------------------------------------------------------------
-# DET004 (selected explicitly: its taint sources also trip DET002)
+# DET004 (two files: the fixture plus a second protocol module)
 # ----------------------------------------------------------------------
 
-
-def test_det004_flagged_fixture():
-    findings = lint_fixture("det004_flagged.pytxt", rules=rules_named("DET004"))
-    assert [f.rule for f in findings] == ["DET004"] * 3
-    # One local draw, one attribute draw, one interprocedural hand-off.
-    messages = "\n".join(f.message for f in findings)
-    assert "draw_subset()" in messages
-    assert "unseeded RNG" in messages
+#: A hierarchy module acquiring the two streams the flagged fixture
+#: also acquires.
+DET004_OTHER = (
+    "def repairs(sim):\n"
+    "    return sim.rng.stream('churn'), sim.rng.stream('transport.latency')\n"
+)
 
 
-def test_det004_clean_fixture():
-    assert lint_fixture("det004_clean.pytxt", rules=rules_named("DET004")) == []
-
-
-def test_det004_suppressed_fixture():
-    findings = lint_fixture("det004_suppressed.pytxt", rules=rules_named("DET004"))
-    assert findings == []
-
-
-def test_det004_exempts_non_protocol_paths():
-    source = (FIXTURES / "det004_flagged.pytxt").read_text(encoding="utf-8")
-    findings = lint_source(
-        source, path="src/repro/experiments/fixture.py", rules=rules_named("DET004")
+def lint_det004_fixture(tmp_path, name: str, package: str = "net"):
+    """Lint fixture ``name`` as a module of ``package`` beside
+    :data:`DET004_OTHER`; returns (fixture findings, other findings)."""
+    fixture = tmp_path / "src" / "repro" / package / "fixture.py"
+    other = tmp_path / "src" / "repro" / "hierarchy" / "other.py"
+    for path, text in (
+        (fixture, (FIXTURES / name).read_text(encoding="utf-8")),
+        (other, DET004_OTHER),
+    ):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    findings = lint_paths([str(fixture), str(other)])
+    return (
+        [f for f in findings if f.path == str(fixture)],
+        [f for f in findings if f.path == str(other)],
     )
-    assert findings == []
+
+
+def test_det004_flagged_fixture(tmp_path):
+    mine, other = lint_det004_fixture(tmp_path, "det004_flagged.pytxt")
+    assert [f.rule for f in mine] == ["DET004", "DET004"]
+    assert [f.rule for f in other] == ["DET004", "DET004"]
+    assert "RNG stream 'churn' is consumed from 2 protocol modules" in mine[0].message
+    assert "'transport.latency'" in mine[1].message
+
+
+def test_det004_clean_fixture(tmp_path):
+    assert lint_det004_fixture(tmp_path, "det004_clean.pytxt") == ([], [])
+
+
+def test_det004_suppressed_fixture(tmp_path):
+    mine, other = lint_det004_fixture(tmp_path, "det004_suppressed.pytxt")
+    assert mine == []
+    # A suppression silences its own file; the other module still reports.
+    assert [f.rule for f in other] == ["DET004", "DET004"]
+
+
+def test_det004_exempts_non_protocol_paths(tmp_path):
+    findings = lint_det004_fixture(
+        tmp_path, "det004_flagged.pytxt", package="experiments"
+    )
+    assert findings == ([], [])
 
 
 def test_det004_shared_stream_across_modules(tmp_path):
@@ -187,25 +202,26 @@ def test_det004_shared_stream_across_modules(tmp_path):
     }
 
 
-# ----------------------------------------------------------------------
-# PROTO003 end-to-end over a multi-file fixture package
-# ----------------------------------------------------------------------
+def test_rng_stream_table():
+    """Literal ``<...>rng.stream(name)`` calls in protocol files only."""
+    from repro.lint import ProjectFacts
+    import ast
 
-
-def test_proto003_end_to_end_dead_letter():
-    """The planted dead letter in the flowpkg package is found across
-    files — send in one module, declarations in another, handlers in a
-    third — and the tagged() send does NOT dilute the result."""
-    flow_dir = FIXTURES / "flowpkg"
-    paths = sorted(str(p) for p in flow_dir.glob("*.pytxt"))
-    assert len(paths) == 3
-    findings = lint_paths(paths)
-    assert len(findings) == 1
-    finding = findings[0]
-    assert finding.rule == "PROTO003"
-    assert finding.path.endswith("sender.pytxt")
-    assert "OrphanStatsPayload" in finding.message
-    assert "register_handler" in finding.message
+    tree = ast.parse(
+        "class Transport:\n"
+        "    def __init__(self, sim):\n"
+        "        self._loss = sim.rng.stream('transport.loss')\n"
+        "        self._latency = sim.rng.stream('transport.latency')\n"
+        "        self._dynamic = sim.rng.stream(f'peer.{sim.me}')\n"
+        "        self._other = sim.streams.stream('not.an.rng')\n"
+    )
+    facts = ProjectFacts()
+    facts.merge_from(tree, SRC_LIKE)
+    facts.merge_from(tree, "src/repro/experiments/harness.py")
+    assert facts.rng_streams == {
+        "transport.loss": {SRC_LIKE},
+        "transport.latency": {SRC_LIKE},
+    }
 
 
 # ----------------------------------------------------------------------

@@ -80,8 +80,8 @@ def production(tmp: Path) -> list[list[str]]:
     ]
     commands += [[py, str(path)] for path in sorted((ROOT / "examples").glob("*.py"))]
     commands += [
-        [py, "-m", "repro.lint", "--no-cache", "src"],
-        [py, "-m", "repro.lint", "--no-cache", "--format=sarif", "src"],
+        [py, "-m", "repro.lint", "src"],
+        [py, "-m", "repro.lint", "--format=sarif", "src"],
         [py, "perf/run.py", "--smoke"],
         [py, "-m", "pytest", "benchmarks", "-q", "-p", "no:cacheprovider", "--benchmark-disable"],
     ]
