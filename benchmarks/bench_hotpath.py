@@ -4,8 +4,9 @@ The workload is a message-and-timer churn designed to be dominated by the
 simulation hot path rather than by numpy protocol math: every peer runs a
 periodic ping service that each tick sends ``PINGS_PER_TICK`` small
 payloads to one overlay neighbour and re-arms a watchdog timeout (the
-failure-detector pattern: every re-arm cancels the previous deadline, so
-the heap accumulates cancelled events exactly like a heartbeat run does).
+failure-detector pattern: every arrival pushes the deadline out, which
+moves a deadline field and leaves the heap alone, exactly like a
+heartbeat run does).
 After ``MAX_TICKS`` ticks every service stops, the event queue drains,
 and the run ends — so ``sim.run()`` takes the unbounded fast path.
 
@@ -126,8 +127,8 @@ class PingService:
             self._node.send(self._partner, PING)
 
     def _on_ping(self, message: object) -> None:
-        # Every arrival re-arms the watchdog: one cancelled heap entry
-        # per ping, the churn that heap compaction exists for.
+        # Every arrival re-arms the watchdog: a deadline move, not a heap
+        # push; the pending wake-up re-arms itself lazily when it fires.
         self._watchdog.reset()
 
     def _on_silence(self) -> None:  # pragma: no cover - quiet network

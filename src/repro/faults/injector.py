@@ -148,9 +148,10 @@ class FaultInjector:
                     self._match_counts[index] += 1
                     if self._match_counts[index] >= action.after:
                         self._crashed_via_match.add(index)
-                        # call_soon: the matching message is already on the
-                        # wire; the peer dies before it can be delivered.
-                        self._sim.call_soon(self._crash, action.peer, "on_match")
+                        # Crash at the current instant: the matching message
+                        # is already on the wire; the peer dies before it
+                        # can be delivered.
+                        self._sim.schedule(0.0, self._crash, action.peer, "on_match")
             elif isinstance(action, PartitionLinks):
                 if (
                     action.start <= now < action.start + action.duration

@@ -65,9 +65,10 @@ class CrashPeer:
     """Fail a peer at an absolute time, or when it is about to receive its
     ``after``-th message matching ``on_match``.
 
-    The message-triggered form crashes via ``call_soon``, so the matching
-    message itself is still put on the wire — it then arrives at a dead
-    recipient, reproducing the classic "replied into a crash" race.
+    The message-triggered form crashes at the current instant
+    (``schedule(0.0, ...)``), so the matching message itself is still put
+    on the wire — it then arrives at a dead recipient, reproducing the
+    classic "replied into a crash" race.
     Exactly one of ``at`` / ``on_match`` must be set.
     """
 

@@ -402,7 +402,7 @@ class Transport:
         assert self.reliability is not None
         pending.attempts += 1
         timeout = backoff(self.reliability.ack_timeout, pending.attempts)
-        self._sim.post(timeout, self._on_ack_timeout, pending)
+        self._sim.schedule(timeout, self._on_ack_timeout, pending)
         self._transmit(pending.sender, pending.recipient, pending.payload, pending)
 
     def _settle(self, pending: _ReliableSend) -> None:
@@ -567,7 +567,7 @@ class Transport:
             return
         batch = _Batch(deliver_at, deque(((payload, sent_at, reliable, span_sid),)))
         self._batches[key] = batch
-        # sim.post inlined (delay is never negative here): one scheduling
+        # sim.schedule inlined (delay is never negative here): one scheduling
         # frame per batch is the remaining per-message engine cost.
         heapq.heappush(
             sim._heap,

@@ -17,8 +17,8 @@ Public API
 
 :class:`~repro.sim.engine.Simulation`
     The event loop: ``schedule``/``schedule_at``, ``run``, ``now``.
-:class:`~repro.sim.events.EventHandle`
-    Returned by ``schedule``; supports cancellation.
+    Scheduled work cannot be cancelled: :mod:`repro.sim.timers` guards
+    its own ticks and timeouts instead.
 :class:`~repro.sim.timers.PeriodicTimer`
     Repeating timer with optional jitter (used for heartbeats).
 :class:`~repro.sim.rng.RngRegistry`
@@ -28,14 +28,11 @@ Public API
 """
 
 from repro.sim.engine import Simulation
-from repro.sim.events import Event, EventHandle
 from repro.sim.rng import RngRegistry
 from repro.sim.timers import PeriodicTimer
 from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
-    "Event",
-    "EventHandle",
     "PeriodicTimer",
     "RngRegistry",
     "Simulation",

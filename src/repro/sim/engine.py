@@ -9,22 +9,18 @@ nothing in the library keeps its own notion of time.
 
 The hot path is engineered for throughput (see docs/PERFORMANCE.md):
 
-* :meth:`post` (fire-and-forget, the overwhelming majority of traffic)
-  pushes a bare ``(time, seq, callback, args)`` tuple — no event object at
-  all.  Heap ordering is decided entirely by the unique ``(time, seq)``
-  prefix, so cancellable 3-tuples and posted 4-tuples coexist in one heap;
-* cancellable events are ``__slots__``-only objects recycled through a
-  free-list pool, so steady-state scheduling allocates nothing;
-* cancellation is lazy, but the heap is compacted in place once cancelled
-  entries make up at least half of it (heartbeat/failure-detector churn
-  would otherwise bloat the heap for the whole run);
+* every heap entry is a bare ``(time, seq, callback, args)`` tuple — no
+  event object at all.  Heap ordering is decided entirely by the unique
+  ``(time, seq)`` prefix, so callbacks and arguments are never compared;
 * :meth:`run` without ``until``/``max_events`` takes a fast inner loop
-  with hoisted lookups and no bound checks;
-* :meth:`post` schedules fire-and-forget work without building an
-  :class:`~repro.sim.events.EventHandle`.
+  with hoisted lookups and no bound checks.
 
-None of this changes observable behaviour: event order is still strictly
-``(time, scheduling order)`` and same-seed runs replay bit-for-bit.
+Heap entries cannot be cancelled.  Work that may be called off (timer
+ticks, timeout wake-ups) checks its own guard when it fires and drains
+as a no-op (see :mod:`repro.sim.timers`).
+
+Event order is strictly ``(time, scheduling order)`` and same-seed runs
+replay bit-for-bit.
 """
 
 from __future__ import annotations
@@ -34,20 +30,11 @@ import itertools
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, EventHandle, _noop
 from repro.sim.rng import RngRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.sim.trace import Tracer
     from repro.telemetry.core import Telemetry
-
-#: Heaps smaller than this are never compacted — rebuilding a tiny heap
-#: costs more than lazily skipping its cancelled entries.
-_COMPACT_MIN_HEAP = 64
-
-#: Upper bound on the free list, so one transient burst of events cannot
-#: pin its peak memory for the rest of the process.
-_POOL_CAP = 65536
 
 
 class Simulation:
@@ -64,8 +51,8 @@ class Simulation:
     --------
     >>> sim = Simulation(seed=7)
     >>> fired = []
-    >>> _ = sim.schedule(2.0, fired.append, "b")
-    >>> _ = sim.schedule(1.0, fired.append, "a")
+    >>> sim.schedule(2.0, fired.append, "b")
+    >>> sim.schedule(1.0, fired.append, "a")
     >>> sim.run()
     2
     >>> fired
@@ -74,19 +61,7 @@ class Simulation:
     2.0
     """
 
-    __slots__ = (
-        "_now",
-        "_heap",
-        "_seq",
-        "_running",
-        "_stopped",
-        "_pool",
-        "_cancelled_in_heap",
-        "_compactions",
-        "rng",
-        "telemetry",
-        "trace",
-    )
+    __slots__ = ("_now", "_heap", "_seq", "_running", "_stopped", "rng", "telemetry", "trace")
 
     def __init__(self, seed: int | None = 0) -> None:
         # Deferred import: telemetry pulls in the metrics package, whose
@@ -95,18 +70,10 @@ class Simulation:
         from repro.telemetry.core import Telemetry
 
         self._now: float = 0.0
-        # Heap entries are tuples — (time, seq, event) for cancellable
-        # work, (time, seq, callback, args) for fire-and-forget posts.
-        # Tuple comparison is C-level, and the globally unique (time, seq)
-        # prefix always decides, so elements past index 1 are never
-        # compared and the two shapes can share the heap.
-        self._heap: list[tuple[Any, ...]] = []
+        self._heap: list[tuple[float, int, Callable[..., None], tuple[Any, ...]]] = []
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
-        self._pool: list[Event] = []
-        self._cancelled_in_heap = 0
-        self._compactions = 0
         self.rng = RngRegistry(seed)
         self.telemetry: Telemetry = Telemetry(self)
         #: The telemetry tracer, aliased here because every protocol emits
@@ -122,30 +89,19 @@ class Simulation:
         return self._now
 
     @property
-    def pending_events(self) -> int:
-        """Size of the event heap, *including* lazily-cancelled entries
-        that will be skipped when popped.  For the number of events that
-        will actually fire, use :attr:`live_events`."""
-        return len(self._heap)
-
-    @property
-    def live_events(self) -> int:
-        """Number of scheduled events that are still going to fire
-        (heap size minus cancelled-but-not-yet-popped entries)."""
-        return len(self._heap) - self._cancelled_in_heap
-
-    @property
     def heap_compactions(self) -> int:
-        """How many times the heap has been compacted (diagnostics)."""
-        return self._compactions
+        """Always ``0``: heap entries are never cancelled, so the heap is
+        never compacted (kept for the ``sim.engine.compactions`` row)."""
+        return 0
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` time units from now.
+
+        A zero delay runs the callback at the current time, after every
+        event already due then.
 
         Raises
         ------
@@ -154,142 +110,33 @@ class Simulation:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return EventHandle(self, self._push(self._now + delay, callback, args))
+        heapq.heappush(self._heap, (self._now + delay, next(self._seq), callback, args))
 
-    def schedule_at(
-        self, time: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
+    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} which is before now={self._now}"
             )
-        return EventHandle(self, self._push(time, callback, args))
-
-    def post(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        """Fire-and-forget scheduling: like :meth:`schedule` but without
-        building a cancellation handle.  The hot-path variant for work
-        that is never cancelled (message deliveries, one-shot protocol
-        steps).
-
-        Raises
-        ------
-        SimulationError
-            If ``delay`` is negative.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        # Posted work has no handle, so it can never be cancelled: push a
-        # bare 4-tuple and skip the event object entirely.
-        time = self._now + delay
         heapq.heappush(self._heap, (time, next(self._seq), callback, args))
-
-    def call_soon(self, callback: Callable[..., None], *args: Any) -> EventHandle:
-        """Schedule ``callback`` at the current time (after pending events
-        already due now)."""
-        return self.schedule_at(self._now, callback, *args)
-
-    def _push(
-        self, time: float, callback: Callable[..., None], args: tuple[Any, ...]
-    ) -> Event:
-        """Take an event from the pool (or allocate one) and heap-push it."""
-        seq = next(self._seq)
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(time, seq, callback, args)
-        heapq.heappush(self._heap, (time, seq, event))
-        return event
-
-    # ------------------------------------------------------------------
-    # Cancellation bookkeeping
-    # ------------------------------------------------------------------
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`EventHandle.cancel` when a live heap entry is
-        cancelled; compacts the heap once cancelled entries dominate."""
-        self._cancelled_in_heap += 1
-        heap = self._heap
-        if (
-            len(heap) >= _COMPACT_MIN_HEAP
-            and self._cancelled_in_heap * 2 >= len(heap)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every cancelled entry from the heap, in place.
-
-        In place matters: :meth:`run` loops hold a local reference to the
-        heap list, so the list object must survive compaction.
-        """
-        heap = self._heap
-        pool = self._pool
-        # Posted 4-tuples have no cancellation flag and always survive.
-        live = [
-            entry for entry in heap if len(entry) == 4 or not entry[2].cancelled
-        ]
-        for entry in heap:
-            if len(entry) == 4:
-                continue
-            event = entry[2]
-            if event.cancelled:
-                event.generation += 1
-                event.callback = _noop
-                event.args = ()
-                if len(pool) < _POOL_CAP:
-                    pool.append(event)
-        heap[:] = live
-        heapq.heapify(heap)
-        self._cancelled_in_heap = 0
-        self._compactions += 1
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Fire the next non-cancelled event.
+        """Fire the next event.
 
         Returns
         -------
         bool
             ``True`` if an event fired, ``False`` if the heap is empty.
         """
-        heap = self._heap
-        pool = self._pool
-        while heap:
-            entry = heapq.heappop(heap)
-            if len(entry) == 4:
-                # Posted fire-and-forget work: nothing to recycle.
-                self._now = entry[0]
-                entry[2](*entry[3])
-                return True
-            event = entry[2]
-            if event.cancelled:
-                self._cancelled_in_heap -= 1
-                event.generation += 1
-                event.callback = _noop
-                event.args = ()
-                if len(pool) < _POOL_CAP:
-                    pool.append(event)
-                continue
-            self._now = entry[0]
-            callback = event.callback
-            args = event.args
-            # Recycle before firing so a schedule made inside the callback
-            # can reuse the object; handles are generation-fenced.
-            event.generation += 1
-            event.callback = _noop
-            event.args = ()
-            if len(pool) < _POOL_CAP:
-                pool.append(event)
-            callback(*args)
-            return True
-        return False
+        if not self._heap:
+            return False
+        entry = heapq.heappop(self._heap)
+        self._now = entry[0]
+        entry[2](*entry[3])
+        return True
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         """Run the event loop.
@@ -326,66 +173,30 @@ class Simulation:
         all lookups hoisted.  Semantically identical to the bounded loop
         with both bounds unset."""
         heap = self._heap
-        pool = self._pool
         pop = heapq.heappop
         fired = 0
         while heap and not self._stopped:
             entry = pop(heap)
-            if len(entry) == 4:
-                # Posted fire-and-forget work — the common case on the hot
-                # path (deliveries, timer ticks): no cancellation check,
-                # nothing to recycle.
-                self._now = entry[0]
-                entry[2](*entry[3])
-                fired += 1
-                continue
-            event = entry[2]
-            if event.cancelled:
-                self._cancelled_in_heap -= 1
-                event.generation += 1
-                event.callback = _noop
-                event.args = ()
-                if len(pool) < _POOL_CAP:
-                    pool.append(event)
-                continue
             self._now = entry[0]
-            callback = event.callback
-            args = event.args
-            event.generation += 1
-            event.callback = _noop
-            event.args = ()
-            if len(pool) < _POOL_CAP:
-                pool.append(event)
-            callback(*args)
+            entry[2](*entry[3])
             fired += 1
         return fired
 
     def _run_bounded(self, until: float | None, max_events: int | None) -> int:
+        heap = self._heap
         fired = 0
-        while self._heap and not self._stopped:
+        while heap and not self._stopped:
             if max_events is not None and fired >= max_events:
+                return fired
+            if until is not None and heap[0][0] > until:
                 break
-            entry = self._heap[0]
-            if len(entry) == 3 and entry[2].cancelled:
-                heapq.heappop(self._heap)
-                nxt = entry[2]
-                self._cancelled_in_heap -= 1
-                nxt.generation += 1
-                nxt.callback = _noop
-                nxt.args = ()
-                if len(self._pool) < _POOL_CAP:
-                    self._pool.append(nxt)
-                continue
-            if until is not None and entry[0] > until:
-                self._now = until
-                break
-            if self.step():
-                fired += 1
-        else:
-            # Heap drained (or stop() called): advance to `until` so that
-            # repeated run(until=...) calls observe a monotone clock.
-            if until is not None and until > self._now and not self._stopped:
-                self._now = until
+            self.step()
+            fired += 1
+        # The heap drained or the next event lies past `until`: unless
+        # stop() was called, advance to `until` (never backwards) so that
+        # repeated run(until=...) calls observe a monotone clock.
+        if until is not None and until > self._now and not self._stopped:
+            self._now = until
         return fired
 
     def stop(self) -> None:

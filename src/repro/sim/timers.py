@@ -80,7 +80,7 @@ class PeriodicTimer:
         self._running = False
         # Bumped on every stop; a tick event carries the epoch it was
         # armed in and no-ops if the timer was stopped (or stop/started)
-        # since.  This replaces per-tick EventHandle allocation + cancel.
+        # since.  Heap entries cannot be cancelled, so this is the fence.
         self._epoch = 0
         if start_immediately:
             self.start()
@@ -112,7 +112,7 @@ class PeriodicTimer:
             rng = self._sim.rng.stream("timers")
             delay += float(rng.uniform(-self._jitter, self._jitter))
             delay = max(delay, 1e-9)
-        self._sim.post(delay, self._tick, self._epoch)
+        self._sim.schedule(delay, self._tick, self._epoch)
 
     def _tick(self, epoch: int) -> None:
         if epoch != self._epoch or not self._running:
@@ -120,7 +120,7 @@ class PeriodicTimer:
         self._callback()
         if self._running and epoch == self._epoch:  # callback may have stopped us
             if self._jitter == 0.0:
-                # Jitter-free re-arm with sim.post inlined: one frame per
+                # Jitter-free re-arm with sim.schedule inlined: one frame per
                 # tick matters with thousands of heartbeat timers running.
                 sim = self._sim
                 heapq.heappush(
@@ -186,13 +186,13 @@ class Timeout:
         wakeups = self._wakeups
         if not wakeups:
             wakeups.append(deadline)
-            self._sim.post(duration, self._wake)
+            self._sim.schedule(duration, self._wake)
         elif deadline < wakeups[0]:
             # Deadline pulled before every pending wake-up: need an
             # earlier one.  (Extensions — the common case — fall through:
             # the pending wake-up re-arms lazily.)
             wakeups.insert(0, deadline)
-            self._sim.post(duration, self._wake)
+            self._sim.schedule(duration, self._wake)
 
     def cancel(self) -> None:
         """Disarm without firing.  Idempotent.
@@ -213,5 +213,5 @@ class Timeout:
             # Deadline moved out past this wake-up and no later wake-up is
             # pending: chase it.
             self._wakeups.append(deadline)
-            self._sim.post(deadline - now, self._wake)
+            self._sim.schedule(deadline - now, self._wake)
         # else: a later pending wake-up (<= deadline) takes over.

@@ -27,7 +27,6 @@ from repro.aggregation.hierarchical import AggregationEngine, _Session
 from repro.experiments.overload import OverloadConfig, run_overload
 from repro.experiments.soak import SoakConfig, run_soak
 from repro.net.transport import Transport
-from repro.sim.events import Event
 from repro.sim.timers import Timeout
 
 LONG = os.environ.get("REPRO_BOUNDED_STATE_LONG") == "1"
@@ -114,29 +113,21 @@ def test_the_flatness_check_catches_a_leak() -> None:
 # ----------------------------------------------------------------------
 # Nothing can reach a session once it is closed.
 # ----------------------------------------------------------------------
-def _scheduled_call(entry: tuple) -> tuple[Any, tuple] | None:
-    """The ``(callback, args)`` a heap entry will run, or ``None`` for a
-    cancelled event.  Knows both layouts the engine pushes —
-    ``Simulation.post``'s ``(time, seq, callback, args)`` and
-    ``Simulation.schedule``'s ``(time, seq, Event)`` — and fails on any
-    other, so a change of layout breaks this check instead of emptying it."""
+def _scheduled_call(entry: tuple) -> tuple[Any, tuple]:
+    """The ``(callback, args)`` a heap entry will run.  Knows the one
+    layout the engine pushes, ``(time, seq, callback, args)``, and fails
+    on any other, so a change of layout breaks this check instead of
+    emptying it."""
     if len(entry) == 4:
         return entry[2], entry[3]
-    if len(entry) == 3 and isinstance(entry[2], Event):
-        event = entry[2]
-        return None if event.cancelled else (event.callback, event.args)
     raise AssertionError(f"unknown event-heap entry layout: {entry!r}")
 
 
-def test_the_reach_check_reads_both_heap_layouts() -> None:
+def test_the_reach_check_reads_the_heap_layout() -> None:
     def callback() -> None:
         pass
 
-    event = Event(1.0, 7, callback, (3,))
-    assert _scheduled_call((1.0, 7, event)) == (callback, (3,))
     assert _scheduled_call((1.0, 8, callback, (4,))) == (callback, (4,))
-    event.cancelled = True
-    assert _scheduled_call((1.0, 7, event)) is None
     with pytest.raises(AssertionError, match="unknown event-heap entry layout"):
         _scheduled_call((1.0, 9, callback))
 
@@ -149,10 +140,7 @@ def _reachers(session: _Session, heap: list[tuple]) -> list[str]:
     timeouts = {service._sessions[sid].timeout for service in session.members}
     found = []
     for entry in heap:
-        call = _scheduled_call(entry)
-        if call is None:
-            continue
-        callback, args = call
+        callback, args = _scheduled_call(entry)
         function = getattr(callback, "__func__", None)
         if function is Transport._deliver_batch:
             found += [

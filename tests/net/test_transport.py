@@ -146,7 +146,7 @@ def test_batching_is_byte_and_counter_transparent():
         sizes = (3, 5, 7, 11)
         for i, size in enumerate(sizes):
             delay = float(i) if spread else 0.0
-            network.sim.post(delay, network.node(0).send, 1, Ping(size=size))
+            network.sim.schedule(delay, network.node(0).send, 1, Ping(size=size))
         network.sim.run()
         counters = network.sim.telemetry.tracer.counters
         return (

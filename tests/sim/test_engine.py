@@ -70,24 +70,6 @@ def test_schedule_at_past_rejected():
         sim.schedule_at(1.0, lambda: None)
 
 
-def test_cancelled_event_does_not_fire():
-    sim = Simulation()
-    fired = []
-    handle = sim.schedule(1.0, fired.append, "x")
-    handle.cancel()
-    sim.run()
-    assert fired == []
-    assert handle.cancelled
-
-
-def test_cancel_is_idempotent():
-    sim = Simulation()
-    handle = sim.schedule(1.0, lambda: None)
-    handle.cancel()
-    handle.cancel()
-    assert handle.cancelled
-
-
 def test_events_scheduled_during_run_fire():
     sim = Simulation()
     fired = []
@@ -103,12 +85,24 @@ def test_events_scheduled_during_run_fire():
     assert sim.now == 4.0
 
 
-def test_call_soon_runs_at_current_time():
+def test_zero_delay_runs_now_after_events_already_due():
     sim = Simulation()
-    times = []
-    sim.schedule(2.0, lambda: sim.call_soon(lambda: times.append(sim.now)))
+    fired = []
+
+    def at_two() -> None:
+        fired.append(("first", sim.now))
+        sim.schedule(0.0, lambda: fired.append(("zero-delay", sim.now)))
+
+    sim.schedule(2.0, at_two)
+    sim.schedule(2.0, lambda: fired.append(("already due", sim.now)))
+    sim.schedule(3.0, lambda: fired.append(("later", sim.now)))
     sim.run()
-    assert times == [2.0]
+    assert fired == [
+        ("first", 2.0),
+        ("already due", 2.0),
+        ("zero-delay", 2.0),
+        ("later", 3.0),
+    ]
 
 
 def test_max_events_bounds_run():
@@ -164,11 +158,12 @@ def test_reentrant_run_rejected():
 
 
 # ----------------------------------------------------------------------
-# Hot-path machinery: event pool, heap compaction, run(until=...) clock
+# run(until=...) clock
 # ----------------------------------------------------------------------
 def test_run_until_clock_is_monotone():
     """The clock never moves backwards across repeated bounded runs,
-    including runs whose window contains no events at all."""
+    including runs whose window contains no events at all or ends
+    before the current time."""
     sim = Simulation()
     seen: list[float] = []
     for delay in (1.0, 4.0, 9.0):
@@ -180,63 +175,12 @@ def test_run_until_clock_is_monotone():
         assert sim.now == until
     assert observed == sorted(observed)
     assert seen == [1.0, 4.0, 9.0]
-
-
-def test_fired_handle_cannot_cancel_recycled_successor():
-    """Generation fencing: once an event fires, its (recycled) handle
-    must not be able to cancel whichever future event reuses the slot."""
-    sim = Simulation()
-    fired: list[str] = []
-    first = sim.schedule(1.0, fired.append, "first")
-    sim.run()
-    assert fired == ["first"]
-    # The pool hands the same Event object to the next schedule.
-    second = sim.schedule(1.0, fired.append, "second")
-    first.cancel()  # stale handle; must be a no-op
-    assert not second.cancelled
-    sim.run()
-    assert fired == ["first", "second"]
-    second.cancel()  # firing already recycled it; still a no-op
-    third = sim.schedule(1.0, fired.append, "third")
-    assert not third.cancelled
-    sim.run()
-    assert fired == ["first", "second", "third"]
-
-
-def test_heap_compaction_under_timer_churn():
-    """A watchdog-style cancel/re-arm loop keeps the heap bounded: the
-    engine compacts cancelled entries in place instead of letting them
-    accumulate until their deadlines."""
-    from repro.sim.engine import _COMPACT_MIN_HEAP
-
-    sim = Simulation()
-    handle_box: list = []
-
-    def rearm() -> None:
-        # Cancel the previous long deadline and arm a fresh one — the
-        # failure-detector pattern that floods the heap with tombstones.
-        if handle_box:
-            handle_box[-1].cancel()
-        handle_box.append(sim.schedule(10_000.0, lambda: None))
-
-    ticker_count = 40 * _COMPACT_MIN_HEAP
-    for i in range(ticker_count):
-        sim.schedule(float(i + 1), rearm)
-    sim.run(until=float(ticker_count))
-    assert sim.heap_compactions > 0
-    # All but the last watchdog are cancelled and must have been swept:
-    # the heap holds the one live deadline, not thousands of tombstones.
-    assert sim.live_events == 1
-    assert sim.pending_events < _COMPACT_MIN_HEAP
-    handle_box[-1].cancel()
-
-
-def test_live_events_excludes_cancelled():
-    sim = Simulation()
-    keep = sim.schedule(1.0, lambda: None)
-    drop = sim.schedule(2.0, lambda: None)
-    assert sim.live_events == 2
-    drop.cancel()
-    assert sim.live_events == 1
-    assert sim.pending_events == 2  # heap size still counts the tombstone
-    assert not keep.cancelled
+    # A window that ends before `now` leaves the clock alone, whether or
+    # not an event is still pending.
+    sim.schedule(10.0, lambda: seen.append(sim.now))
+    sim.run(until=5.0)
+    assert sim.now == 20.0
+    sim.run(until=30.0)
+    sim.run(until=25.0)
+    assert sim.now == 30.0
+    assert seen == [1.0, 4.0, 9.0, 30.0]
