@@ -27,12 +27,15 @@ nor any peer cache — so a failed epoch can never poison the delta sum.
 The :mod:`repro.service` layer drives exactly that loop with deadlines
 and degraded-mode serving.
 
-**Time decay** (:class:`~repro.core.decay.DecayConfig`) redefines the
-monitored quantity as exponentially faded or sliding-window counts.
-Decay is applied at the root per commit — peers still ship raw arrival
-deltas, dated by the commit that first includes them — and the threshold
-tracks the faded grand total (the filter-0 slice of the faded group
-vector, since each filter partitions all items).  A **dense re-baseline**
+**Time decay** (``ContinuousNetFilter(fading=...)``) redefines the
+monitored quantity as exponentially faded counts: a count commits with
+weight 1 and is worth ``fading**k`` after ``k`` further epochs.  Fading is
+applied at the root per commit — peers still ship raw integer arrival
+deltas, dated by the commit that first includes them, so tree sums stay
+order-independent and same-seed replays byte-identical; data stranded on
+a crashed peer starts fading only once a later epoch commits it.  The
+threshold tracks the faded grand total (the filter-0 slice of the faded
+group vector, since each filter partitions all items).  A **dense re-baseline**
 (forced by the service after repeated abandons, or by the cost
 crossover) re-anchors the root vector to the live participants' full
 faded state; peers that were down across a re-baseline detect it from
@@ -43,8 +46,7 @@ root's vector no longer has a base for.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -59,11 +61,10 @@ from repro.aggregation.combiners import (
 from repro.aggregation.hierarchical import AggregationEngine
 from repro.aggregation.spec import AggregateSpec
 from repro.core.config import NetFilterConfig
-from repro.core.decay import DecayConfig
 from repro.core.filters import FilterBank
 from repro.core.netfilter import NetFilterResult, totals_spec, verification_spec
 from repro.core.session import AttemptPlan, run_attempt
-from repro.errors import AggregationError
+from repro.errors import AggregationError, ConfigurationError
 from repro.items.itemset import FadedItemSet, LocalItemSet
 from repro.net.node import Node
 from repro.net.wire import CostCategory, SizeModel
@@ -137,14 +138,13 @@ class EpochReport:
 @dataclass
 class _PeerLedger:
     """One peer's durable committed state: what of its data the root's
-    vector already contains, and (under decay) its own faded history.
+    vector already contains, and (under fading) its own faded history.
     Survives crash + revival, exactly like ``node.items`` does."""
 
-    base_epoch: int = -1
-    groups: np.ndarray | None = None
-    items: LocalItemSet = field(default_factory=LocalItemSet.empty)
-    faded: FadedItemSet | None = None
-    window: deque[tuple[int, LocalItemSet]] = field(default_factory=deque)
+    base_epoch: int
+    groups: np.ndarray
+    items: LocalItemSet
+    faded: FadedItemSet | None
 
 
 @dataclass
@@ -153,7 +153,6 @@ class _PendingContribution:
 
     groups: np.ndarray
     items: LocalItemSet
-    fresh: LocalItemSet
     delta_set: LocalItemSet
     changed: int
     resynced: bool
@@ -166,13 +165,11 @@ class _FoldPreview:
     without touching committed state (applied only on commit)."""
 
     group_totals: np.ndarray
-    dense_delta: np.ndarray
     changed_groups: int
     changed_total: int
     faded_total: float
     threshold: float
     grand_total: float
-    expired: int
 
 
 class _GroupDeltaCombiner(KeyedSumCombiner):
@@ -262,34 +259,40 @@ class EpochAttempt:
         bank = monitor.bank
         ledger = monitor._ledger.get(node.peer_id)
         current_groups = bank.local_group_aggregates(node.items)
-        resynced = (
-            ledger is not None
-            and ledger.base_epoch >= 0
-            and ledger.base_epoch < monitor.baseline_epoch
-        )
+        resynced = False
+        if ledger is not None and ledger.base_epoch < monitor.baseline_epoch:
+            resynced = True
+            sim = node.network.sim
+            sim.telemetry.registry.counter("monitor.resyncs").inc()
+            sim.trace.emit(
+                sim.now,
+                "monitor.resync",
+                peer=node.peer_id,
+                base_epoch=ledger.base_epoch,
+                baseline_epoch=monitor.baseline_epoch,
+                epoch=self.epoch,
+            )
         if ledger is None or resynced:
             # Nothing of this peer's history is in the root's committed
             # vector: a first-time participant, or a peer that was down
             # across a dense re-baseline.  Its full state is the delta.
-            prev_groups: np.ndarray | None = None
+            delta = current_groups.copy()
         else:
-            prev_groups = ledger.groups
-        # ``fresh`` is always relative to the peer's own ledger base: a
-        # resync re-ships the *whole* contribution on the wire, but the
-        # faded recurrence must not re-date already-counted arrivals.
-        prev_items = LocalItemSet.empty() if ledger is None else ledger.items
-        delta = (
-            current_groups.copy() if prev_groups is None else current_groups - prev_groups
-        )
-        fresh = _integer_diff(node.items, prev_items)
+            delta = current_groups - ledger.groups
+        fading = monitor.fading
         faded: FadedItemSet | None = None
-        decay = monitor.decay
-        if decay is not None and decay.exponential:
-            if ledger is not None and ledger.faded is not None and ledger.base_epoch >= 0:
-                mult = decay.multiplier(self.epoch - ledger.base_epoch)
-                faded = ledger.faded.scaled(mult).merge(fresh)
+        if fading is not None:
+            if ledger is None:
+                faded = FadedItemSet.from_integer(node.items)
             else:
-                faded = FadedItemSet.from_integer(fresh)
+                # ``fresh`` is relative to the peer's own ledger base even
+                # on a resync: the resync re-ships the *whole* contribution
+                # on the wire, but the faded recurrence must not re-date
+                # already-counted arrivals.
+                assert ledger.faded is not None
+                fresh = _integer_diff(node.items, ledger.items)
+                mult = fading ** (self.epoch - ledger.base_epoch)
+                faded = ledger.faded.scaled(mult).merge(fresh)
             if resynced:
                 # The delta re-ships the whole faded contribution — the
                 # only place float values enter the up-sweep.
@@ -304,21 +307,9 @@ class EpochAttempt:
         else:
             changed_idx = np.flatnonzero(delta)
             delta_set = LocalItemSet(changed_idx, delta[changed_idx])
-        if resynced:
-            sim = node.network.sim
-            sim.telemetry.registry.counter("monitor.resyncs").inc()
-            sim.trace.emit(
-                sim.now,
-                "monitor.resync",
-                peer=node.peer_id,
-                base_epoch=-1 if ledger is None else ledger.base_epoch,
-                baseline_epoch=monitor.baseline_epoch,
-                epoch=self.epoch,
-            )
         pend = _PendingContribution(
             groups=current_groups,
             items=node.items,
-            fresh=fresh,
             delta_set=delta_set,
             changed=len(delta_set),
             resynced=resynced,
@@ -327,40 +318,16 @@ class EpochAttempt:
         self._pending[node.peer_id] = pend
         return pend
 
-    def _window_view(self, peer_id: int, pend: _PendingContribution) -> LocalItemSet:
-        """A peer's in-window items: committed window entries that have
-        not aged out, plus this attempt's fresh arrivals (dated now)."""
-        decay = self.monitor.decay
-        assert decay is not None and decay.windowed
-        horizon = self.epoch - decay.window
-        ledger = self.monitor._ledger.get(peer_id)
-        parts = (
-            [items for (ep, items) in ledger.window if ep > horizon] if ledger else []
-        )
-        parts.append(pend.fresh)
-        return LocalItemSet.merge_many(parts)
-
-    def _dense_vector(self, node: Node, pend: _PendingContribution) -> np.ndarray:
-        decay = self.monitor.decay
-        bank = self.monitor.bank
-        if decay is None:
+    def _dense_vector(self, pend: _PendingContribution) -> np.ndarray:
+        if pend.faded is None:
             return pend.groups
-        if decay.exponential:
-            assert pend.faded is not None
-            return _faded_group_vector(bank, pend.faded)
-        return bank.local_group_aggregates(self._window_view(node.peer_id, pend))
+        return _faded_group_vector(self.monitor.bank, pend.faded)
 
     def _view_items(self, node: Node) -> LocalItemSet:
         """The item set verification should materialize candidates from —
         the same state this attempt's phase 1 represented."""
-        decay = self.monitor.decay
         pend = self._stage(node)
-        if decay is None:
-            return pend.items
-        if decay.exponential:
-            assert pend.faded is not None
-            return pend.faded
-        return self._window_view(node.peer_id, pend)
+        return pend.items if pend.faded is None else pend.faded
 
     # ------------------------------------------------------------------
     # Specs
@@ -371,11 +338,10 @@ class EpochAttempt:
         monitor = self.monitor
         attempt = self
         dense = self.dense
-        decay = monitor.decay
         part: Combiner[Any]
         if dense:
             part = VectorSumCombiner(monitor.bank.total_groups)
-        elif decay is not None and decay.exponential:
+        elif monitor.fading is not None:
             part = _FadedDeltaCombiner()
         else:
             part = _GroupDeltaCombiner()
@@ -383,7 +349,7 @@ class EpochAttempt:
         def contribute(node: Node, _: Any) -> tuple[Any, int]:
             pend = attempt._stage(node)
             if dense:
-                return attempt._dense_vector(node, pend), pend.changed
+                return attempt._dense_vector(pend), pend.changed
             return pend.delta_set, pend.changed
 
         def request_bytes(request_data: Any, model: SizeModel) -> int:
@@ -399,14 +365,14 @@ class EpochAttempt:
         )
 
     def verification_spec(self) -> AggregateSpec:
-        """Phase 2 over this attempt's staged views (faded / windowed /
-        raw), so verification prices candidates in the same decayed space
-        phase 1 selected them in."""
+        """Phase 2 over this attempt's staged views (faded or raw), so
+        verification prices candidates in the same space phase 1
+        selected them in."""
         return verification_spec(self.monitor.bank, items_of=self._view_items)
 
     def plan(self) -> AttemptPlan:
         """This attempt as data for :func:`repro.core.session.run_attempt`:
-        the totals phase only when the threshold needs it (no decay), the
+        the totals phase only when the threshold needs it (no fading), the
         epoch anchor in the phase-1 request, and :meth:`fold` between the
         phases."""
         monitor = self.monitor
@@ -418,7 +384,7 @@ class EpochAttempt:
         return AttemptPlan(
             config=monitor.config,
             bank=monitor.bank,
-            totals=totals_spec() if monitor.decay is None else None,
+            totals=totals_spec() if monitor.fading is None else None,
             phase1=self.phase1_spec(),
             phase1_request=self.anchor,
             fold=fold,
@@ -434,43 +400,26 @@ class EpochAttempt:
         applied to the monitor only by :meth:`commit`."""
         monitor = self.monitor
         bank = monitor.bank
-        decay = monitor.decay
-        epoch = self.epoch
-        expired = 0
+        fading = monitor.fading
         if self.dense:
             vector, changed_total = aggregate
-            dtype = np.float64 if decay is not None and decay.exponential else np.int64
-            group_totals = np.asarray(vector, dtype=dtype)
-            dense_delta = group_totals.copy()
+            group_totals = np.asarray(vector, dtype=monitor._group_totals.dtype)
             changed_groups = bank.total_groups
-            changed_total = int(changed_total)
         else:
             delta_set, changed_total = aggregate
-            changed_total = int(changed_total)
             changed_groups = len(delta_set)
             dense_delta = np.zeros_like(monitor._group_totals)
             if len(delta_set):
                 dense_delta[delta_set.ids] = delta_set.values
-            if decay is not None and decay.exponential:
-                mult = (
-                    decay.multiplier(epoch - monitor.committed_epoch)
-                    if monitor.committed_epoch >= 0
-                    else 1.0
-                )
-                group_totals = monitor._group_totals * mult + dense_delta
-            elif decay is not None and decay.windowed:
+            if fading is None:
                 group_totals = monitor._group_totals + dense_delta
-                horizon = epoch - decay.window
-                for commit_epoch, vec in monitor._window_history:
-                    if commit_epoch <= horizon:
-                        group_totals = group_totals - vec
-                        expired += 1
             else:
-                group_totals = monitor._group_totals + dense_delta
+                mult = fading ** (self.epoch - monitor.committed_epoch)
+                group_totals = monitor._group_totals * mult + dense_delta
         # Filter 0 partitions all items, so its slice sums every item's
         # (faded) mass exactly once — the (faded) grand total.
         faded_total = float(group_totals[: bank.filter_size].sum())
-        if decay is None:
+        if fading is None:
             if grand_total is None:
                 raise AggregationError(
                     "an undecayed monitor resolves its threshold from the "
@@ -481,20 +430,16 @@ class EpochAttempt:
             grand_total = faded_total
             if monitor.config.threshold is not None:
                 threshold = monitor.config.threshold
-            elif decay.windowed:
-                threshold = monitor.config.resolve_threshold(int(faded_total))
             else:
                 assert monitor.config.threshold_ratio is not None
                 threshold = max(monitor.config.threshold_ratio * faded_total, 1.0)
         preview = _FoldPreview(
             group_totals=group_totals,
-            dense_delta=dense_delta,
             changed_groups=changed_groups,
-            changed_total=changed_total,
+            changed_total=int(changed_total),
             faded_total=faded_total,
             threshold=threshold,
             grand_total=float(grand_total),
-            expired=expired,
         )
         self._preview = preview
         return preview
@@ -517,45 +462,24 @@ class EpochAttempt:
         if preview is None:
             raise AggregationError("commit before fold(): run phase 1 first")
         monitor = self.monitor
-        decay = monitor.decay
         epoch = self.epoch
         monitor._group_totals = preview.group_totals
-        if decay is not None and decay.windowed:
-            history = monitor._window_history
-            if self.dense:
-                history.clear()
-            horizon = epoch - decay.window
-            while history and history[0][0] <= horizon:
-                history.popleft()
-            history.append((epoch, preview.dense_delta))
         resyncs = 0
         for peer_id in sorted(self._pending):
             pend = self._pending[peer_id]
             resyncs += int(pend.resynced)
-            previous = monitor._ledger.get(peer_id)
-            window: deque[tuple[int, LocalItemSet]] = deque()
-            if decay is not None and decay.windowed:
-                horizon = epoch - decay.window
-                if previous is not None and not pend.resynced:
-                    window.extend(
-                        entry for entry in previous.window if entry[0] > horizon
-                    )
-                if len(pend.fresh):
-                    window.append((epoch, pend.fresh))
             monitor._ledger[peer_id] = _PeerLedger(
                 base_epoch=epoch,
                 groups=pend.groups,
                 items=pend.items,
                 faded=pend.faded,
-                window=window,
             )
         monitor.committed_epoch = epoch
         monitor.commit_count += 1
         monitor.epoch = max(monitor.epoch, epoch + 1)
         if self.dense:
             monitor.baseline_epoch = epoch
-        allow_dense = decay is None or decay.exponential
-        monitor._dense_next = allow_dense and not sparse_cheaper_than_dense(
+        monitor._dense_next = not sparse_cheaper_than_dense(
             preview.changed_total,
             result.n_participants,
             monitor.bank.total_groups,
@@ -596,7 +520,7 @@ class EpochAttempt:
 
 
 class ContinuousNetFilter:
-    """Epoch-driven netFilter with committed delta filtering and decay.
+    """Epoch-driven netFilter with committed delta filtering and fading.
 
     Drive it synchronously (each call is one wall epoch that always
     commits)::
@@ -617,9 +541,9 @@ class ContinuousNetFilter:
         (faded) grand total, so the threshold tracks the data).
     engine:
         The aggregation engine to run over.
-    decay:
-        Optional time-decay semantics (exponential fading or sliding
-        window).
+    fading:
+        Per-epoch retention factor in (0, 1) for exponentially faded
+        counts, or ``None`` to monitor raw (undecayed) counts.
 
     Rerunning dense phase 1 every epoch is one-shot netFilter, run once
     per epoch: ``NetFilter(config).run(engine)``.
@@ -629,11 +553,13 @@ class ContinuousNetFilter:
         self,
         config: NetFilterConfig,
         engine: AggregationEngine,
-        decay: DecayConfig | None = None,
+        fading: float | None = None,
     ) -> None:
+        if fading is not None and not 0.0 < fading < 1.0:
+            raise ConfigurationError(f"fading factor must be in (0, 1), got {fading}")
         self.config = config
         self.engine = engine
-        self.decay = decay
+        self.fading = fading
         self.bank = FilterBank(
             config.num_filters, config.filter_size, config.hash_seed
         )
@@ -645,11 +571,10 @@ class ContinuousNetFilter:
         self.baseline_epoch = 0
         self.commit_count = 0
         self.reports: list[EpochReport] = []
-        dtype = np.float64 if decay is not None and decay.exponential else np.int64
+        dtype = np.int64 if fading is None else np.float64
         # Root-side running totals; the per-peer committed ledgers play
         # the role of each peer's own durable cache in a real deployment.
         self._group_totals = np.zeros(self.bank.total_groups, dtype=dtype)
-        self._window_history: deque[tuple[int, np.ndarray]] = deque()
         self._ledger: dict[int, _PeerLedger] = {}
         self._dense_next = True
         self._commit_listeners: list[
@@ -669,13 +594,9 @@ class ContinuousNetFilter:
     def choose_mode(self, force_dense: bool = False) -> str:
         """Phase-1 mode for the next attempt: dense on the first epoch
         (everything changed), then whatever last commit's cost-crossover
-        predicted; ``force_dense`` escalates to a dense re-baseline
-        (window mode has no re-anchor semantics and stays sparse after
-        its first commit)."""
+        predicted; ``force_dense`` escalates to a dense re-baseline."""
         if self.commit_count == 0:
             return DENSE
-        if self.decay is not None and self.decay.windowed:
-            return SPARSE
         if force_dense or self._dense_next:
             return DENSE
         return SPARSE

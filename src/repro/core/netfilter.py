@@ -78,7 +78,7 @@ def verification_spec(
     """Phase 2: heavy groups ride down in the request (dissemination),
     partial candidate sets merge upward (Algorithm 2).  ``items_of`` is
     the item set a peer verifies against — its current one, or the staged
-    (faded / windowed) view a continuous epoch's phase 1 represented."""
+    (faded or raw) view a continuous epoch's phase 1 represented."""
 
     # The histogram of the registry last contributed into: looked up once
     # per spec and simulation, not once per peer.

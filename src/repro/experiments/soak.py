@@ -41,7 +41,6 @@ import numpy as np
 from repro.aggregation.hierarchical import AggregationEngine
 from repro.core.config import NetFilterConfig
 from repro.core.continuous import ContinuousNetFilter, EpochReport
-from repro.core.decay import DecayConfig
 from repro.errors import ConfigurationError, ExperimentError
 from repro.faults import BurstLoss, FaultInjector, FaultScenario, SuspendPeer
 from repro.faults.scenario import FaultAction
@@ -224,7 +223,6 @@ def _run_soak(sim: Simulation, config: SoakConfig) -> SoakResult:
     engine = AggregationEngine(
         hierarchy, child_timeout=config.child_timeout, hardened=True
     )
-    decay = DecayConfig(mode="exponential", factor=config.decay_factor)
     monitor = ContinuousNetFilter(
         NetFilterConfig(
             filter_size=config.filter_size,
@@ -232,7 +230,7 @@ def _run_soak(sim: Simulation, config: SoakConfig) -> SoakResult:
             threshold_ratio=config.threshold_ratio,
         ),
         engine,
-        decay=decay,
+        fading=config.decay_factor,
     )
     service = MonitorService(
         monitor,
@@ -329,7 +327,7 @@ def _run_soak(sim: Simulation, config: SoakConfig) -> SoakResult:
                 value = FadedItemSet.from_integer(fresh)
             else:
                 base, faded = entry
-                value = faded.scaled(decay.multiplier(epoch - base)).merge(fresh)
+                value = faded.scaled(config.decay_factor ** (epoch - base)).merge(fresh)
             mirror[peer] = (epoch, value)
             pending[peer] = LocalItemSet.empty()
         expected = FadedItemSet.merge_faded(

@@ -48,7 +48,7 @@ class MonitorService:
     The essential shape (see ``repro.experiments.soak`` for the full
     fault-composed harness)::
 
-        monitor = ContinuousNetFilter(config, engine, decay=DecayConfig())
+        monitor = ContinuousNetFilter(config, engine, fading=0.9)
         service = MonitorService(monitor, ServiceConfig(epoch_interval=240))
         outcomes = service.run(epochs=50, before_epoch=apply_stream)
         service.answer()           # newest answer, honest staleness bound

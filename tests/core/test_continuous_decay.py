@@ -1,5 +1,6 @@
-"""Time-decay semantics of continuous monitoring: exponential fading,
-sliding windows, the dense-fallback cost crossover, and delta resync."""
+"""Time-decay semantics of continuous monitoring: exponential fading, the
+fading-factor range check, the dense-fallback cost crossover, and delta
+resync."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from repro.core.continuous import (
     ContinuousNetFilter,
     sparse_cheaper_than_dense,
 )
-from repro.core.decay import DecayConfig
+from repro.errors import ConfigurationError
 from repro.hierarchy.builder import Hierarchy
 from repro.hierarchy.maintenance import enable_maintenance
 from repro.items.itemset import FadedItemSet, LocalItemSet
@@ -32,15 +33,12 @@ from tests.conftest import build_small_system
 def make_decayed(
     seed: int = 0,
     factor: float = 0.8,
-    mode: str = "exponential",
-    window: int = 0,
     n_peers: int = 20,
     n_items: int = 600,
 ):
     system = build_small_system(seed=seed, n_peers=n_peers, n_items=n_items)
     config = NetFilterConfig(filter_size=50, num_filters=2, threshold_ratio=0.01)
-    decay = DecayConfig(mode=mode, factor=factor, window=window)
-    monitor = ContinuousNetFilter(config, system.engine, decay=decay)
+    monitor = ContinuousNetFilter(config, system.engine, fading=factor)
     stream = ZipfStream(
         n_items, n_peers, 1.0, 800, system.sim.rng.stream("stream")
     )
@@ -121,25 +119,26 @@ def test_exponential_fading_forgets_a_flash_crowd():
     assert flash_item not in report.result.frequent.ids
 
 
-def test_window_mode_expires_old_epochs_exactly():
-    system, monitor, stream = make_decayed(mode="window", factor=0.8, window=2)
-    flash_item = 599
-    node = system.network.node(5)
-    node.items = node.items.merge(LocalItemSet.from_pairs({flash_item: 4000}))
-    reports = []
-    for _ in range(5):
-        reports.append(monitor.run_epoch())
-        for peer, increment in sorted(stream.next_epoch().items()):
-            system.network.node(peer).items = (
-                system.network.node(peer).items.merge(increment)
-            )
-    # In-window at epochs 0-2 (window=2 keeps epochs > e-2), expired after.
-    assert flash_item in reports[0].result.frequent.ids
-    assert flash_item not in reports[-1].result.frequent.ids
-    # Window counts are integer-exact (no float fading enters the sum).
-    for report in reports:
-        values = report.result.frequent.values
-        assert np.array_equal(values, values.astype(np.int64))
+@pytest.mark.parametrize(
+    "fading, valid",
+    [
+        (None, True),
+        (0.5, True),
+        (0.0, False),
+        (1.0, False),
+        (-0.5, False),
+        (1.5, False),
+        (float("nan"), False),
+    ],
+)
+def test_fading_factor_must_be_none_or_in_unit_interval(fading, valid):
+    system = build_small_system(seed=0, n_peers=6, n_items=100)
+    config = NetFilterConfig(filter_size=20, num_filters=2, threshold_ratio=0.01)
+    if valid:
+        assert ContinuousNetFilter(config, system.engine, fading=fading).fading is fading
+    else:
+        with pytest.raises(ConfigurationError, match="fading factor must be in"):
+            ContinuousNetFilter(config, system.engine, fading=fading)
 
 
 def test_cost_crossover_predicate_pins_the_break_even():
@@ -209,7 +208,7 @@ def test_filtering_savings_baseline_is_current_dense_cost():
     monitor = ContinuousNetFilter(
         NetFilterConfig(filter_size=40, num_filters=2, threshold_ratio=0.01),
         engine,
-        decay=DecayConfig(mode="exponential", factor=0.9),
+        fading=0.9,
     )
     model = network.size_model
     full = monitor.run_epoch()
@@ -254,7 +253,7 @@ def test_resync_after_dense_rebaseline_while_down():
     monitor = ContinuousNetFilter(
         NetFilterConfig(filter_size=30, num_filters=2, threshold_ratio=0.01),
         engine,
-        decay=DecayConfig(mode="exponential", factor=0.7),
+        fading=0.7,
     )
     mirror = FadedMirror(network, 0.7)
     stream = ZipfStream(300, 14, 1.0, 500, sim.rng.stream("stream"))

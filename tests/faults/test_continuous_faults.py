@@ -21,7 +21,6 @@ import numpy as np
 from repro.aggregation.hierarchical import AggregationEngine
 from repro.core.config import NetFilterConfig
 from repro.core.continuous import ContinuousNetFilter
-from repro.core.decay import DecayConfig
 from repro.faults import (
     CrashPeer,
     FaultInjector,
@@ -62,7 +61,7 @@ def make_stack(seed: int):
     monitor = ContinuousNetFilter(
         NetFilterConfig(filter_size=60, num_filters=2, threshold_ratio=0.01),
         engine,
-        decay=DecayConfig(mode="exponential", factor=FACTOR),
+        fading=FACTOR,
     )
     service = MonitorService(
         monitor,

@@ -14,7 +14,6 @@ import pytest
 from repro.aggregation.hierarchical import AggregationEngine
 from repro.core.config import NetFilterConfig
 from repro.core.continuous import DENSE, SPARSE, ContinuousNetFilter
-from repro.core.decay import DecayConfig
 from repro.errors import ConfigurationError
 from repro.faults import FaultInjector, FaultScenario, SuspendPeer
 from repro.hierarchy.builder import Hierarchy
@@ -51,7 +50,7 @@ def make_service(
     monitor = ContinuousNetFilter(
         NetFilterConfig(filter_size=120, num_filters=2, threshold_ratio=0.01),
         engine,
-        decay=DecayConfig(mode="exponential", factor=0.8),
+        fading=0.8,
     )
     service = MonitorService(
         monitor,
