@@ -663,16 +663,12 @@ class AggregationEngine:
             return  # the root was already declared lost
         session_id = handle.session_id
         handle._complete(value, covered)
-        sim_elapsed = self.sim.now - handle.started_at
-        self.sim.telemetry.registry.timer("aggregation.session_time").observe(
-            sim_elapsed
-        )
         self.sim.trace.emit(
             self.sim.now,
             "aggregation.complete",
             session=session_id,
             spec=handle.spec.name,
-            sim_elapsed=sim_elapsed,
+            sim_elapsed=self.sim.now - handle.started_at,
             covered=covered,
             expected=handle.expected,
         )

@@ -39,7 +39,6 @@ from repro.core.session import AttemptPlan, below_floor, run_attempt, run_phase
 from repro.core.session import NetFilterResult as NetFilterResult  # re-exported: its public home
 from repro.core.verification import HeavyGroups, materialize_candidates
 from repro.items.itemset import LocalItemSet
-from repro.metrics.registry import HistogramMetric, MetricsRegistry
 from repro.net.node import Node
 from repro.net.wire import CostCategory, SizeModel
 from repro.sim.timers import backoff
@@ -80,20 +79,9 @@ def verification_spec(
     the item set a peer verifies against — its current one, or the staged
     (faded or raw) view a continuous epoch's phase 1 represented."""
 
-    # The histogram of the registry last contributed into: looked up once
-    # per spec and simulation, not once per peer.
-    bound: tuple[MetricsRegistry, HistogramMetric] | None = None
-
     def contribute(node: Node, heavy: HeavyGroups) -> LocalItemSet:
-        nonlocal bound
         partial = materialize_candidates(items_of(node), bank, heavy)
         sim = node.network.sim
-        registry = sim.telemetry.registry
-        if bound is None or bound[0] is not registry:
-            bound = registry, registry.histogram(
-                "netfilter.candidates_per_peer", buckets=(0, 1, 4, 16, 64, 256, 1024)
-            )
-        bound[1].observe(len(partial))
         trace = sim.trace
         if trace.active:
             trace.emit(

@@ -264,9 +264,6 @@ def run_attempt(
         group_totals, threshold, grand_total = plan.fold(handle.value, grand_total)
         heavy = HeavyGroups.from_aggregate(plan.bank, group_totals, threshold)
         span["heavy_groups"] = heavy.total_count
-        telemetry.registry.histogram(
-            "netfilter.heavy_groups", buckets=(0, 1, 4, 16, 64, 256, 1024)
-        ).observe(heavy.total_count)
         telemetry.emit(
             "filter.heavy_groups",
             total=heavy.total_count,

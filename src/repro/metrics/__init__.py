@@ -10,20 +10,12 @@ measures that metric directly from transport activity
 
 from repro.metrics.accounting import CostAccounting
 from repro.metrics.breakdown import CostBreakdown
-from repro.metrics.registry import (
-    CounterMetric,
-    GaugeMetric,
-    HistogramMetric,
-    MetricsRegistry,
-    TimerMetric,
-)
+from repro.metrics.registry import CounterMetric, HistogramMetric, MetricsRegistry
 
 __all__ = [
     "CostAccounting",
     "CostBreakdown",
     "CounterMetric",
-    "GaugeMetric",
     "HistogramMetric",
     "MetricsRegistry",
-    "TimerMetric",
 ]

@@ -1,35 +1,26 @@
-"""In-process metric primitives: counters, gauges, timers, histograms.
+"""In-process metric primitives: named counters and a fixed-bucket histogram.
 
 The registry complements the event-level :class:`~repro.sim.trace.Tracer`:
-where the tracer answers "what happened, when", the registry answers "how
-much, how often, how long" without keeping one record per occurrence.  All
-primitives are pure stdlib and O(1) per update (a histogram observation is
-one ``bisect`` over a short bucket list), so protocols can update them on
-hot paths even when no trace sink is attached.
+where the tracer answers "what happened, when", the registry's counters
+answer "how often" for the events a robustness run asserts on (drops,
+retransmits, failovers, ...) without keeping one record per occurrence.
+Every per-event fact with a value (latency, size, duration) lives in the
+trace once; the run report folds it back into a :class:`HistogramMetric`.
 
 Bucket convention follows Prometheus: a bucket is an inclusive upper bound
-(``value <= bound``), the last bucket is always ``+inf``, and
-``cumulative_counts`` are monotone.
+(``value <= bound``) and the last bucket is always ``+inf``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from time import perf_counter
-from typing import Any, Iterator, Sequence, TypeVar
-
-_M = TypeVar("_M", "CounterMetric", "GaugeMetric", "HistogramMetric", "TimerMetric")
+from typing import Sequence
 
 #: Default histogram buckets, in simulated time units (link latency is 1.0
 #: by default, so these resolve one-hop through deep-tree round trips).
 DEFAULT_TIME_BUCKETS: tuple[float, ...] = (
     0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 250.0, 1000.0,
-)
-
-#: Default buckets for size-like quantities (bytes, counts).
-DEFAULT_SIZE_BUCKETS: tuple[float, ...] = (
-    1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0,
 )
 
 
@@ -54,41 +45,6 @@ class CounterMetric:
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease (got {amount})")
         self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def as_dict(self) -> dict[str, object]:
-        return {"type": "counter", "value": self.value}
-
-
-class GaugeMetric:
-    """A value that goes up and down (queue depth, live peers, ...)."""
-
-    __slots__ = ("name", "value", "max_value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-        self.max_value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-        if value > self.max_value:
-            self.max_value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.set(self.value + amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-    def reset(self) -> None:
-        self.value = 0.0
-        self.max_value = 0.0
-
-    def as_dict(self) -> dict[str, object]:
-        return {"type": "gauge", "value": self.value, "max": self.max_value}
 
 
 class HistogramMetric:
@@ -160,55 +116,23 @@ class HistogramMetric:
         if value > self.max:
             self.max = value
 
-    def observe_bulk(self, values: Any) -> None:
-        """Merge a whole array of observations in one vectorized pass.
-
-        Semantically identical to ``observe`` per element (``searchsorted``
-        with ``side='left'`` is elementwise ``bisect_left``), but O(len +
-        buckets) instead of one python call per value — the batched tier
-        records a million per-peer samples through this without touching
-        the hot path one value at a time.
-        """
-        import numpy as np
-
-        array = np.asarray(values, dtype=np.float64)
-        if array.size == 0:
-            return
-        indices = np.searchsorted(np.asarray(self.bounds), array, side="left")
-        merged = np.bincount(indices, minlength=len(self.bucket_counts))
-        for index, extra in enumerate(merged):
-            if extra:
-                self.bucket_counts[index] += int(extra)
-        self.count += int(array.size)
-        self.total += float(array.sum())
-        low, high = float(array.min()), float(array.max())
-        if low < self.min:
-            self.min = low
-        if high > self.max:
-            self.max = high
-
     @property
     def mean(self) -> float:
         """Mean observed value (0.0 when empty)."""
         return self.total / self.count if self.count else 0.0
 
-    def cumulative_counts(self) -> list[int]:
-        """Prometheus-style ``le`` counts (last entry equals ``count``)."""
-        out, running = [], 0
-        for bucket in self.bucket_counts:
-            running += bucket
-            out.append(running)
-        return out
-
     def quantile(self, q: float) -> float:
         """Approximate quantile: the upper bound of the bucket containing
         the ``q``-th observation (``inf`` if it falls in the overflow
-        bucket, ``nan`` when empty)."""
+        bucket, ``nan`` when empty).  ``q = 0`` names the smallest
+        observation's bucket."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         if self.count == 0:
             return math.nan
-        rank = q * self.count
+        # Rank 1 at least: the q-th observation is a real one, so an empty
+        # leading bucket never answers.
+        rank = max(q * self.count, 1.0)
         running = 0
         for bound, bucket in zip(self.bounds, self.bucket_counts):
             running += bucket
@@ -216,146 +140,52 @@ class HistogramMetric:
                 return bound
         return math.inf
 
-    def reset(self) -> None:
-        self.bucket_counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "type": "histogram",
-            "bounds": list(self.bounds),
-            "bucket_counts": list(self.bucket_counts),
-            "count": self.count,
-            "total": self.total,
-            "min": None if self.count == 0 else self.min,
-            "max": None if self.count == 0 else self.max,
-        }
+# Nothing in ``repro`` constructs a gauge or a timer.  The two classes below
+# remain only as the ``GaugeMetric.inc`` and ``TimerMetric.observe`` rows of
+# the profiler's patch table (``perf/trace.py``), and go with that table.
+class GaugeMetric:
+    __slots__ = ("name", "value")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.value = 0.0
+
+    def inc(self, amount: float = 1.0) -> None:
+        self.value += amount
 
 
 class TimerMetric:
-    """A histogram of durations with a context-manager front end.
+    __slots__ = ("histogram",)
 
-    ``time()`` measures wall-clock seconds via ``perf_counter``; simulated
-    durations are recorded with :meth:`observe` (the caller owns the
-    simulated clock).
-
-    Examples
-    --------
-    >>> t = TimerMetric("step", buckets=(0.1, 1.0))
-    >>> with t.time():
-    ...     pass
-    >>> t.histogram.count
-    1
-    """
-
-    __slots__ = ("name", "histogram")
-
-    def __init__(
-        self, name: str, buckets: Sequence[float] = DEFAULT_TIME_BUCKETS
-    ) -> None:
-        self.name = name
-        self.histogram = HistogramMetric(name, buckets)
+    def __init__(self, name: str) -> None:
+        self.histogram = HistogramMetric(name)
 
     def observe(self, duration: float) -> None:
         self.histogram.observe(duration)
 
-    def time(self) -> "_TimerContext":
-        return _TimerContext(self)
-
-    def reset(self) -> None:
-        self.histogram.reset()
-
-    def as_dict(self) -> dict[str, object]:
-        out = self.histogram.as_dict()
-        out["type"] = "timer"
-        return out
-
-
-class _TimerContext:
-    __slots__ = ("_timer", "_started", "elapsed")
-
-    def __init__(self, timer: TimerMetric) -> None:
-        self._timer = timer
-        self._started = 0.0
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "_TimerContext":
-        # Timers measure wall time by design (see span wall_elapsed).
-        self._started = perf_counter()  # repro-lint: disable=DET001
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.elapsed = perf_counter() - self._started  # repro-lint: disable=DET001
-        self._timer.observe(self.elapsed)
-
 
 class MetricsRegistry:
-    """Named metrics, created on first use.
+    """Named counters, created on first use.
 
     ``registry.counter("net.msgs").inc()`` either creates the counter or
-    returns the existing one; asking for an existing name as a different
-    metric type raises, because two components silently sharing a name is
-    how metrics get corrupted.
+    returns the existing one, so every component naming a counter shares
+    the same object.
     """
 
     def __init__(self) -> None:
-        self._metrics: dict[
-            str, CounterMetric | GaugeMetric | HistogramMetric | TimerMetric
-        ] = {}
-
-    def _get_or_create(self, name: str, cls: type[_M], *args: Any) -> _M:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = cls(name, *args)
-            self._metrics[name] = metric
-        elif type(metric) is not cls:
-            raise ValueError(
-                f"metric {name!r} already registered as "
-                f"{type(metric).__name__}, not {cls.__name__}"
-            )
-        return metric
+        self._metrics: dict[str, CounterMetric] = {}
 
     def counter(self, name: str) -> CounterMetric:
-        return self._get_or_create(name, CounterMetric)
+        metric = self._metrics.get(name)
+        if metric is None:
+            metric = self._metrics[name] = CounterMetric(name)
+        return metric
 
-    def gauge(self, name: str) -> GaugeMetric:
-        return self._get_or_create(name, GaugeMetric)
-
-    def histogram(
-        self, name: str, buckets: Sequence[float] = DEFAULT_TIME_BUCKETS
-    ) -> HistogramMetric:
-        return self._get_or_create(name, HistogramMetric, buckets)
-
-    def timer(
-        self, name: str, buckets: Sequence[float] = DEFAULT_TIME_BUCKETS
-    ) -> TimerMetric:
-        return self._get_or_create(name, TimerMetric, buckets)
-
-    def get(
-        self, name: str
-    ) -> CounterMetric | GaugeMetric | HistogramMetric | TimerMetric | None:
-        """The metric registered under ``name`` (None if absent)."""
+    def get(self, name: str) -> CounterMetric | None:
+        """The counter registered under ``name`` (None if absent)."""
         return self._metrics.get(name)
 
     def names(self) -> list[str]:
-        """All registered metric names, sorted."""
+        """All registered counter names, sorted."""
         return sorted(self._metrics)
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._metrics))
-
-    def as_dict(self) -> dict[str, dict[str, object]]:
-        """Snapshot of every metric, JSON-ready, keyed by name."""
-        return {name: self._metrics[name].as_dict() for name in sorted(self._metrics)}
-
-    def reset(self) -> None:
-        """Zero every metric (the metric objects stay registered, so held
-        references remain valid across experiment sweeps)."""
-        for metric in self._metrics.values():
-            metric.reset()

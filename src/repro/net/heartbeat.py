@@ -281,11 +281,7 @@ class HeartbeatService:
         # bookkeeping (a false suspicion has no crash time).
         failed_at = network.failed_at.get(neighbor)
         detect_latency = None if failed_at is None else sim.now - failed_at
-        if detect_latency is not None:
-            sim.telemetry.registry.histogram("net.failure_detect_latency").observe(
-                detect_latency
-            )
-        else:
+        if detect_latency is None:
             sim.telemetry.registry.counter("heartbeat.false_suspicions").inc()
         sim.trace.emit(
             sim.now,

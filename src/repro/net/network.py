@@ -183,10 +183,9 @@ class Network:
         node = self.node(peer_id)
         if node.alive:
             return
-        downtime = self.sim.now - self.failed_at.pop(peer_id, self.sim.now)
+        self.failed_at.pop(peer_id, None)
         node.revive()
         self.sim.telemetry.registry.counter("net.peer_revivals").inc()
-        self.sim.telemetry.registry.histogram("net.peer_downtime").observe(downtime)
         for listener in self._join_listeners:
             listener(peer_id)
 

@@ -26,7 +26,10 @@ Every silently dropped message — dead/absent destination, random loss, or
 fault injection — is additionally counted in the metrics registry under
 ``net.msgs_dropped.<reason>.<category>``, keyed by the payload's cost
 category, so robustness experiments can assert on exactly what traffic
-was lost.
+was lost; the reliable scheme counts ``transport.retransmits``,
+``transport.retransmit_exhausted`` and ``transport.duplicates_suppressed``
+there too.  Bytes live in :class:`~repro.metrics.accounting.CostAccounting`
+and per-message latency in the ``msg.delivered`` trace record, once each.
 """
 
 from __future__ import annotations
@@ -243,9 +246,6 @@ class Transport:
         "_fault_hook",
         "_msg_ids",
         "_reliable",
-        "_bytes_sent",
-        "_msgs_in_flight",
-        "_latency_hist",
         "_retransmits",
         "_retransmit_failures",
         "_duplicates",
@@ -287,12 +287,8 @@ class Transport:
         # "Bounded state").
         self._msg_ids = itertools.count(1)
         self._reliable: dict[int, _ReliableSend] = {}
-        # Metric handles are resolved once: the send/deliver path updates
-        # them with plain attribute math, no registry lookups.
+        # Counter handles are resolved once, not looked up per message.
         registry = sim.telemetry.registry
-        self._bytes_sent = registry.counter("net.bytes_sent")
-        self._msgs_in_flight = registry.gauge("net.msgs_in_flight")
-        self._latency_hist = registry.histogram("net.msg_latency")
         self._retransmits = registry.counter("transport.retransmits")
         self._retransmit_failures = registry.counter("transport.retransmit_exhausted")
         self._duplicates = registry.counter("transport.duplicates_suppressed")
@@ -473,7 +469,6 @@ class Transport:
         bucket, cell = handles
         bucket[sender] += size
         cell.n += 1
-        self._bytes_sent.value += size
         trace = sim.trace
         span_sid = 0
         if trace.active:
@@ -543,12 +538,6 @@ class Transport:
             rng = sim.rng.stream("transport.latency")
             delay += float(rng.uniform(0.0, self._jitter))
         sent_at = sim._now
-        # Inlined gauge update: this runs once per message.
-        inflight = self._msgs_in_flight
-        value = inflight.value + 1.0
-        inflight.value = value
-        if value > inflight.max_value:
-            inflight.max_value = value
         # The copy is on the wire now; _deliver_batch settles it.
         if reliable is not None:
             reliable.copies += 1
@@ -593,8 +582,8 @@ class Transport:
 
         The per-message delivery logic is inlined into the drain loop (one
         Python frame per *batch*, not per message) and every loop-invariant
-        handle — clock, tracer, resolver result, histogram — is hoisted
-        once.
+        handle — clock, tracer, resolver result, handler lookup — is
+        hoisted once.
         """
         key = (sender, recipient)
         # A newer batch may have replaced us in the index (later arrival
@@ -604,19 +593,16 @@ class Transport:
         sim = self._sim
         now = sim._now
         trace = sim.trace
-        inflight = self._msgs_in_flight
         node = self._resolve(recipient)
         # Bound handler lookup: Node.deliver's dispatch is inlined below
         # (one frame per message saved).  The handler dict's identity is
         # stable — fail() clears it in place — so the bound .get always
         # sees current registrations.
         handler_for = node._handlers.get if node is not None else None
-        observe = self._latency_hist.observe
         spans_ = self._spans
         entries = batch.entries
         while entries:
             payload, sent_at, reliable, span = entries.popleft()
-            inflight.value -= 1.0
             try:
                 # alive is re-read per entry: an earlier delivery in this
                 # very batch may have crashed the recipient.
@@ -654,15 +640,13 @@ class Transport:
                             spans_.close(span, duplicate=True)
                         continue
                     reliable.delivered = True
-                latency = now - sent_at
-                observe(latency)
                 if trace.active:
                     trace.emit(
                         now,
                         "msg.delivered",
                         sender=sender,
                         recipient=recipient,
-                        latency=latency,
+                        latency=now - sent_at,
                     )
                 else:
                     self._n_delivered += 1
@@ -687,7 +671,7 @@ class Transport:
                     previous = spans_.activate(span)
                     handler(Message(sender, recipient, payload, sent_at, now, span))
                     spans_.restore(previous)
-                    spans_.close(span, latency=latency)
+                    spans_.close(span, latency=now - sent_at)
                 else:
                     handler(Message(sender, recipient, payload, sent_at, now))
             finally:

@@ -2,9 +2,8 @@
 
 This package unifies the repo's three observability primitives — the
 structured :class:`~repro.sim.trace.Tracer`, the
-:class:`~repro.metrics.registry.MetricsRegistry` of counters/gauges/
-timers/histograms, and the byte-level
-:class:`~repro.metrics.accounting.CostAccounting` — behind one
+:class:`~repro.metrics.registry.MetricsRegistry` of named counters, and the
+byte-level :class:`~repro.metrics.accounting.CostAccounting` — behind one
 :class:`~repro.telemetry.core.Telemetry` object hung off every
 :class:`~repro.sim.engine.Simulation` (``sim.telemetry``).
 

@@ -4,8 +4,8 @@ One ``Telemetry`` hangs off every :class:`~repro.sim.engine.Simulation` and
 unifies the three observability primitives behind a single handle:
 
 * the event-level :class:`~repro.sim.trace.Tracer` (what happened, when),
-* a :class:`~repro.metrics.registry.MetricsRegistry` of counters, gauges,
-  timers and histograms (how much, how often, how long),
+* a :class:`~repro.metrics.registry.MetricsRegistry` of named counters
+  (how often),
 * the network's :class:`~repro.metrics.accounting.CostAccounting` (bytes
   per peer per category — the paper's metric), attached by the network
   when it is constructed.
@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 from contextlib import contextmanager
 from time import perf_counter
 
-from repro.metrics.registry import DEFAULT_TIME_BUCKETS, MetricsRegistry, TimerMetric
+from repro.metrics.registry import MetricsRegistry
 from repro.sim.trace import Tracer
 from repro.telemetry.spans import SpanTracker
 
@@ -54,8 +54,6 @@ class Telemetry:
         self.accounting: "CostAccounting | None" = None
         self.spans = SpanTracker(sim, self.tracer)
         self._sinks: list["JsonlTraceSink"] = []
-        #: ``span.<kind>`` timers, bound on a kind's first close.
-        self._span_timers: dict[str, TimerMetric] = {}
 
     # ------------------------------------------------------------------
     # Wiring
@@ -138,8 +136,7 @@ class Telemetry:
         Emits ``kind`` with ``ev="begin"`` on entry and ``ev="end"`` on
         exit, the end event carrying the simulated (``sim_elapsed``) and
         wall-clock (``wall_elapsed``, seconds) durations plus anything the
-        body stores into the yielded dict.  The simulated duration also
-        feeds the ``span.<kind>`` timer in the registry.
+        body stores into the yielded dict.
 
         When causal span tracking is on (:meth:`enable_spans`), the block
         additionally opens a tracker span of the same kind and makes it
@@ -156,36 +153,17 @@ class Telemetry:
         try:
             yield extra
         finally:
-            sim_elapsed = self._sim.now - sim_started
             self.tracer.emit(
                 self._sim.now,
                 kind,
                 {
                     "ev": "end",
-                    "sim_elapsed": sim_elapsed,
+                    "sim_elapsed": self._sim.now - sim_started,
                     "wall_elapsed": perf_counter() - wall_started,
                     **fields,
                     **extra,
                 },
             )
-            timer = self._span_timers.get(kind)
-            if timer is None:
-                timer = self.registry.timer(f"span.{kind}", DEFAULT_TIME_BUCKETS)
-                self._span_timers[kind] = timer
-            timer.observe(sim_elapsed)
             if sid:
                 spans.restore(previous)
                 spans.close(sid)
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Zero the tracer, registry, spans, and (if attached) the
-        accounting — for experiment sweeps that reuse one simulation
-        factory."""
-        self.tracer.reset()
-        self.registry.reset()
-        self.spans.reset()
-        if self.accounting is not None:
-            self.accounting.reset()

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 #: Every declared trace-event kind, mapped to a one-line description.
 #: Span kinds appear here under their bare name; the begin/end bracketing
-#: (``ev="begin"`` / ``ev="end"``) is carried in the record fields, and the
-#: derived ``span.<kind>`` timer names live in the metrics registry only.
+#: (``ev="begin"`` / ``ev="end"``) is carried in the record fields.
 TRACE_KINDS: dict[str, str] = {
     # -- transport ------------------------------------------------------
     "msg.sent": "a payload was priced, charged, and put on the wire",

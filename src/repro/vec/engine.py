@@ -21,9 +21,9 @@ bitset of the candidates in its subtree and ORs them up the levels, so
 each reply's exact distinct count is a popcount — no message simulated
 and no population-sized sort.
 
-Trace and metrics emission is aggregated per batch: one ``vec.phase``
-event per phase and a bulk histogram merge instead of one observation
-per peer, so telemetry and cost curves stay honest at a million peers.
+Trace emission is aggregated per batch: one ``vec.phase`` event per
+phase instead of one record per message, so telemetry and cost curves
+stay honest at a million peers.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def popcount(words: np.ndarray) -> int:
 
 def subtree_candidate_pairs(
     table: PeerTable, rows: CandidateRows
-) -> tuple[int, int, np.ndarray]:
+) -> tuple[int, int]:
     """The phase-2 reply sizes, computed as a batched subtree merge.
 
     Every non-root reachable peer's reply carries the *distinct*
@@ -191,10 +191,8 @@ def subtree_candidate_pairs(
     Cost: O(⌈K/64⌉·N) array work for K candidates and N peers, one word
     at a time so the scratch column stays at 8 B per peer.
 
-    Returns ``(total pairs sent, root distinct count, per-peer own
-    candidate counts)`` — the last feeds the batched histogram emission.
+    Returns ``(total pairs sent, root distinct count)``.
     """
-    own_counts = np.bincount(rows.peer, minlength=table.n_peers).astype(np.int64)
     order, starts = table.level_order()
     bit = np.left_shift(np.uint64(1), (rows.rank & 63).astype(np.uint64))
     pairs_sent = root_count = 0
@@ -208,7 +206,7 @@ def subtree_candidate_pairs(
             pairs_sent += popcount(words)
             np.bitwise_or.at(bits, table.parent[level], words)
         root_count += popcount(bits[table.root : table.root + 1])
-    return pairs_sent, root_count, own_counts
+    return pairs_sent, root_count
 
 
 # ----------------------------------------------------------------------
@@ -226,16 +224,3 @@ def emit_phase(telemetry: Telemetry | None, phase: str, peers: int, priced: Phas
         request_bytes=priced.requests,
         reply_bytes=priced.replies,
     )
-
-
-def observe_candidates_histogram(telemetry: Telemetry | None, peers_holding: np.ndarray) -> None:
-    """Bulk-merge per-peer candidate counts (``peers_holding[c]`` peers
-    hold ``c`` candidates of their own) into the same
-    ``netfilter.candidates_per_peer`` histogram the scalar tier feeds,
-    one vectorized merge instead of N ``observe`` calls."""
-    if telemetry is None:
-        return
-    histogram = telemetry.registry.histogram(
-        "netfilter.candidates_per_peer", buckets=(0, 1, 4, 16, 64, 256, 1024)
-    )
-    histogram.observe_bulk(np.repeat(np.arange(peers_holding.size), peers_holding))

@@ -75,9 +75,6 @@ class Round2:
     candidates: LocalItemSet
     #: Distinct candidate pairs summed over every in-tree reply.
     pairs_sent: int
-    #: ``peers_holding[c]`` reachable peers hold ``c`` candidates of their
-    #: own (histogram input; per-peer arrays do not outlive the round).
-    peers_holding: np.ndarray
 
 
 def round1(table: PeerTable, reach: np.ndarray, bank: FilterBank) -> Round1:
@@ -109,14 +106,10 @@ def round2(
 ) -> Round2:
     """Candidate verification over one tree."""
     rows = vec_engine.candidate_rows(table, reach, bank, heavy)
-    pairs_sent, root_count, own_counts = vec_engine.subtree_candidate_pairs(table, rows)
+    pairs_sent, root_count = vec_engine.subtree_candidate_pairs(table, rows)
     candidates = LocalItemSet(rows.universe, vec_engine.candidate_global_values(rows))
     assert root_count == len(candidates)
-    return Round2(
-        candidates=candidates,
-        pairs_sent=pairs_sent,
-        peers_holding=np.bincount(own_counts[reach]),
-    )
+    return Round2(candidates=candidates, pairs_sent=pairs_sent)
 
 
 def finish(
@@ -169,8 +162,6 @@ def finish(
         totals[priced.down_category] += priced.requests
         totals[priced.up_category] += priced.replies
         vec_engine.emit_phase(telemetry, name, reached, priced)
-    for tree in seconds:
-        vec_engine.observe_candidates_histogram(telemetry, tree.peers_holding)
 
     breakdown = CostBreakdown.from_delta({}, totals, population)
     result = NetFilterResult(

@@ -132,3 +132,36 @@ def test_report_round_trips_through_real_sink(tmp_path):
     assert [p.kind for p in report.phases] == ["filter.phase"]
     assert report.phases[0].sim_time == 5.0
     render_report(report)  # renders without raising
+
+
+def test_trace_is_the_one_copy_of_latency_and_bytes(tmp_path):
+    """Differential: a traced run's report restates the live run exactly —
+    one latency observation per delivered message, and per-category bytes
+    equal to the network's own accounting."""
+    from repro.aggregation.hierarchical import AggregationEngine
+    from repro.core.config import NetFilterConfig
+    from repro.core.netfilter import NetFilter
+    from repro.hierarchy.builder import Hierarchy
+    from repro.net.network import Network
+    from repro.net.overlay import Topology
+    from repro.net.transport import TransportConfig
+    from repro.workload.workload import Workload
+
+    path = str(tmp_path / "jittered.jsonl")
+    sim = Simulation(seed=3)
+    sim.telemetry.attach_jsonl(path, sample_every=1)
+    overlay = Topology.random_connected(60, 4.0, sim.rng.stream("topology"))
+    network = Network(sim, overlay, TransportConfig(latency_jitter=0.7))
+    workload = Workload.zipf(
+        n_items=400, n_peers=60, skew=1.0, rng=sim.rng.stream("workload")
+    )
+    network.assign_items(workload.item_sets)
+    engine = AggregationEngine(Hierarchy.build(network, root=0))
+    config = NetFilterConfig(filter_size=20, num_filters=2, threshold_ratio=0.02)
+    NetFilter(config).run(engine)
+    sim.telemetry.close()
+
+    report = build_report(iter_trace(path), path=path)
+    assert report.latency.count == sim.trace.counters["msg.delivered"] > 0
+    assert report.latency.min > 1.0  # jitter reached the trace
+    assert report.accounting.bytes_by_category() == network.accounting.bytes_by_category()

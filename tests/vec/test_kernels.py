@@ -129,10 +129,9 @@ class TestSubtreeCandidatePairs:
             len(subtree[p]) for p in range(table.n_peers) if reach[p] and p != table.root
         )
 
-        pairs_sent, root_count, own_counts = subtree_candidate_pairs(table, rows)
+        pairs_sent, root_count = subtree_candidate_pairs(table, rows)
         assert pairs_sent == expected_pairs
         assert root_count == len(subtree[table.root])
-        assert own_counts.tolist() == [len(ranks) for ranks in held]
 
 
 class TestCandidateRows:
