@@ -20,8 +20,8 @@ class MessageCell:
 
     Handed out by :meth:`CostAccounting.message_cell` so the transport can
     count a sent message with one attribute increment instead of a dict
-    walk.  The cell object is stable across :meth:`CostAccounting.reset`
-    (the count is zeroed in place), so cached references never go stale.
+    walk.  A category's cell is created once and never replaced, so
+    cached references never go stale.
     """
 
     __slots__ = ("n",)
@@ -63,8 +63,8 @@ class CostAccounting:
 
         Hot-path handle for the transport: charging a message becomes
         ``bucket[peer] += size`` on the returned (default-)dict.  The
-        mapping is stable across :meth:`reset` — it is emptied in place —
-        so callers may cache it for the lifetime of the accounting.
+        mapping is never replaced, so callers may cache it for the
+        lifetime of the accounting.
         """
         return self._bytes[category]
 
@@ -75,17 +75,6 @@ class CostAccounting:
         if cell is None:
             cell = self._messages[category] = MessageCell()
         return cell
-
-    def reset(self) -> None:
-        """Forget everything recorded so far.
-
-        Buckets and message cells are cleared *in place* rather than
-        dropped, so handles interned by the transport stay live.
-        """
-        for per_peer in self._bytes.values():
-            per_peer.clear()
-        for cell in self._messages.values():
-            cell.n = 0
 
     # ------------------------------------------------------------------
     # Queries
@@ -126,8 +115,8 @@ class CostAccounting:
         return total
 
     def bytes_by_category(self) -> dict[CostCategory, int]:
-        """Total bytes per category (categories with no recorded bytes —
-        e.g. right after :meth:`reset` — are omitted)."""
+        """Total bytes per category (categories with no recorded bytes
+        are omitted)."""
         return {
             cat: sum(per_peer.values())
             for cat, per_peer in self._bytes.items()

@@ -125,9 +125,7 @@ class Tracer:
 
         The hook must move privately accumulated counts into this tracer
         (via :meth:`count`) and zero its accumulators; it runs every time
-        :attr:`counters` is read and on :meth:`reset`.  Hooks survive
-        :meth:`reset` — they are structural wiring, like the component
-        that registered them.
+        :attr:`counters` is read.
         """
         self._flush_hooks.append(hook)
 
@@ -197,23 +195,6 @@ class Tracer:
         if self._writer is writer:
             self._writer = None
         self.unsubscribe("", writer.on_record)
-
-    def reset(self) -> None:
-        """Forget all counters, captured records, and subscribers, and
-        invalidate the compiled dispatch/active caches.
-
-        Lets experiment sweeps reuse one simulation factory without
-        telemetry state leaking between runs.  Flush hooks run first (so
-        component accumulators are zeroed along with the counters) and
-        stay registered afterwards.
-        """
-        for hook in self._flush_hooks:
-            hook()
-        self._counters.clear()
-        self._subscribers.clear()
-        self._writer = None
-        self._records = None
-        self._update_active()
 
     # ------------------------------------------------------------------
     # Emission

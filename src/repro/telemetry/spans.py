@@ -263,12 +263,3 @@ class SpanTracker:
                 leaked += 1
                 self.close(sid, status=STATUS_UNCLOSED)
         return leaked
-
-    def reset(self) -> None:
-        """Forget open spans and context (for experiment sweeps reusing a
-        simulation factory).  The ``enabled`` gate is left as configured;
-        the id counter restarts so replays allocate identical ids."""
-        self._open.clear()
-        self.current = NO_SPAN
-        self._sample_seen = 0
-        self._next_id = 1

@@ -25,18 +25,23 @@ independent of worker count or scheduling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.net.wire import SizeModel
-from repro.vec.state import PeerTable
+from repro.vec.state import PeerTable, sort_unique
 from repro.workload.zipf import zipf_global_values
 
 #: Stream salts for the per-shard RNGs (one sub-stream per concern).
 _TOPOLOGY_SALT = 1
 _WORKLOAD_SALT = 2
+
+#: Largest peer count whose packed pair key ``a·n + b`` (at most n² − 1)
+#: fits in ``int64``: ⌊√(2⁶³ − 1)⌋.
+MAX_PACKED_PEERS = math.isqrt(np.iinfo(np.int64).max)
 
 
 def shard_rng(seed: int, n_shards: int, shard: int, salt: int) -> np.random.Generator:
@@ -53,9 +58,17 @@ def random_overlay(
     a uniform random-attachment tree (guaranteeing connectivity) plus
     uniform extra edges up to the target mean degree — with arrays
     instead of per-edge python sets.
+
+    Edges are sorted as packed ``int64`` keys ``a·n_peers + b``, so
+    ``n_peers`` may not exceed :data:`MAX_PACKED_PEERS`.
     """
     if n_peers <= 0:
         raise ConfigurationError(f"n_peers must be positive, got {n_peers}")
+    if n_peers > MAX_PACKED_PEERS:
+        raise ConfigurationError(
+            f"n_peers {n_peers} exceeds {MAX_PACKED_PEERS}: the packed "
+            "int64 edge key a·n_peers + b would overflow"
+        )
     if n_peers == 1:
         return np.zeros(2, dtype=np.int64), np.empty(0, dtype=np.int64)
     children = np.arange(1, n_peers, dtype=np.int64)
@@ -69,16 +82,12 @@ def random_overlay(
     keep = extra_u != extra_v
     u = np.concatenate([tree_u, extra_u[keep]])
     v = np.concatenate([tree_v, extra_v[keep]])
-    # Canonical undirected key (min, max), dedupe across tree + extras.
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    key = np.unique(lo * np.int64(n_peers) + hi)
-    lo, hi = key // n_peers, key % n_peers
-    # Both directions, sorted by source -> CSR.
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    # Canonical undirected key lo·n + hi, deduplicated across tree + extras.
+    n = np.int64(n_peers)
+    key = sort_unique(np.minimum(u, v) * n + np.maximum(u, v))
+    lo, hi = np.divmod(key, n)
+    # Both directions as src·n + dst keys; one sort gives the CSR order.
+    src, dst = np.divmod(np.sort(np.concatenate([key, hi * n + lo])), n)
     indptr = np.zeros(n_peers + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n_peers), out=indptr[1:])
     return indptr, dst
@@ -92,7 +101,10 @@ def bfs_tree(
     Returns ``(depth, parent)`` with ``depth[root] == 0``; unreachable
     vertices keep depth/parent ``-1``.  When several frontier peers offer
     to adopt the same vertex, the smallest peer id wins — a deterministic
-    tie-break, so the tree is a pure function of the adjacency.
+    tie-break, so the tree is a pure function of the adjacency.  Offers
+    are sorted as packed ``child·n + offered`` keys, which relies on the
+    same ``n ≤`` :data:`MAX_PACKED_PEERS` bound that :func:`random_overlay`
+    enforces.
     """
     n = indptr.size - 1
     depth = np.full(n, -1, dtype=np.int64)
@@ -118,8 +130,7 @@ def bfs_tree(
         child, offered = neighbors[fresh], senders[fresh]
         if child.size == 0:
             break
-        order = np.lexsort((offered, child))
-        child, offered = child[order], offered[order]
+        child, offered = np.divmod(np.sort(child * n + offered), n)
         first = np.ones(child.size, dtype=bool)
         first[1:] = child[1:] != child[:-1]
         adopted, adopter = child[first], offered[first]

@@ -163,7 +163,9 @@ class PeerTable:
         ``order[starts[d]:starts[d+1]]``.
         """
         participants = np.flatnonzero(self.depth >= 0)
-        order = participants[np.argsort(self.depth[participants], kind="stable")]
+        # Packed depth·n + peer keys: one sort gives the (depth, peer) order.
+        n = np.int64(self.n_peers)
+        order = np.sort(self.depth[participants] * n + participants) % n
         depths = self.depth[order]
         height = int(depths[-1]) if order.size else -1
         starts = np.searchsorted(depths, np.arange(height + 2))
@@ -233,8 +235,7 @@ class PeerTable:
         the dense side of the escape hatch: the same sub-population,
         re-labelled ``0..k-1``, runnable by either engine.
         """
-        peers = np.asarray(peers, dtype=np.int64)
-        peers = np.unique(peers)
+        peers = sort_unique(np.asarray(peers, dtype=np.int64))
         relabel = np.full(self.n_peers, -1, dtype=np.int64)
         relabel[peers] = np.arange(peers.size, dtype=np.int64)
         old_parent = self.parent[peers]
@@ -338,6 +339,19 @@ class PeerTable:
                 raise ConfigurationError(
                     "per-peer item ids must be strictly increasing"
                 )
+
+
+def sort_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` by one sort and an adjacent-difference mask.
+
+    A bare ``np.unique`` on ``int64`` takes numpy 2.x's hash-table path,
+    which is tens of times slower than a sort on large arrays.
+    """
+    keys = np.sort(keys)
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 def _gather_slices(

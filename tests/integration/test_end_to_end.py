@@ -67,11 +67,13 @@ def test_no_bottleneck_at_root():
     bytes at the root do not dominate the average."""
     system = build_small_system(seed=10, n_peers=100, n_items=8000)
     accounting = system.network.accounting
-    accounting.reset()
-    config = NetFilterConfig(filter_size=100, num_filters=3, threshold_ratio=0.01)
-    NetFilter(config).run(system.engine)
     from repro.net.wire import NETFILTER_CATEGORIES
 
+    # Hierarchy construction charges CONTROL only, so the netFilter
+    # categories read below count this run alone.
+    assert accounting.total_bytes(*NETFILTER_CATEGORIES) == 0
+    config = NetFilterConfig(filter_size=100, num_filters=3, threshold_ratio=0.01)
+    NetFilter(config).run(system.engine)
     per_peer = accounting.per_peer_bytes(*NETFILTER_CATEGORIES)
     root_bytes = per_peer.get(system.hierarchy.root, 0)
     mean_bytes = sum(per_peer.values()) / system.network.n_peers

@@ -71,12 +71,6 @@ def test_max_peer_bytes(accounting):
     assert CostAccounting().per_peer_bytes() == {}
 
 
-def test_reset(accounting):
-    accounting.reset()
-    assert accounting.total_bytes() == 0
-    assert accounting.message_count() == 0
-
-
 def test_explicit_empty_selection_means_zero(accounting):
     """An explicit empty category list selects nothing — never 'all'."""
     assert accounting.total_bytes([]) == 0

@@ -24,7 +24,9 @@ from tests.conftest import build_small_system
 @pytest.fixture(scope="module")
 def measured():
     system = build_small_system(seed=15, n_peers=100, n_items=8000)
-    system.network.accounting.reset()
+    # Hierarchy construction charges CONTROL only, so the netFilter
+    # categories read below count this run alone.
+    assert system.network.accounting.total_bytes(NETFILTER_CATEGORIES) == 0
     config = NetFilterConfig(filter_size=100, num_filters=3, threshold_ratio=0.01)
     result = NetFilter(config).run(system.engine)
     return system, result

@@ -78,21 +78,6 @@ def test_unsubscribe_unknown_pair_is_ignored():
     tracer.emit(0.0, "a")
 
 
-def test_reset_clears_counters_records_and_subscribers():
-    tracer = Tracer()
-    seen = []
-    tracer.subscribe("", seen.append)
-    tracer.start_recording()
-    tracer.emit(0.0, "a")
-    tracer.reset()
-    assert tracer.counters == {}
-    assert tracer.records == []
-    tracer.emit(1.0, "b")
-    assert len(seen) == 1  # the pre-reset record only
-    assert tracer.records == []
-    assert tracer.counters["b"] == 1
-
-
 def test_active_reflects_consumers():
     tracer = Tracer()
     assert not tracer.active
@@ -130,22 +115,3 @@ def test_emit_does_not_copy_handler_chain_per_event():
     first = tracer._dispatch["msg.sent"]
     tracer.emit(1.0, "msg.sent")
     assert tracer._dispatch["msg.sent"] is first
-
-
-def test_reset_clears_dispatch_and_active_caches():
-    tracer = Tracer()
-    seen = []
-    tracer.subscribe("msg.sent", seen.append)
-    tracer.emit(0.0, "msg.sent")
-    assert tracer.active
-    tracer.reset()
-    assert not tracer.active
-    assert tracer._dispatch == {}
-    # Emits after reset take the quiet path and reach no old subscriber.
-    tracer.emit(1.0, "msg.sent")
-    assert len(seen) == 1
-    # A fresh subscription recompiles dispatch from the clean table.
-    late = []
-    tracer.subscribe("msg.sent", late.append)
-    tracer.emit(2.0, "msg.sent")
-    assert len(late) == 1 and len(seen) == 1

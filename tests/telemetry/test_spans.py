@@ -121,17 +121,6 @@ def test_wire_span_sampling_keeps_one_in_k():
     assert [sid for sid in kept if sid] == [1, 2, 3]
 
 
-def test_reset_restarts_ids_and_sampling():
-    sim = make_sim()
-    spans = sim.telemetry.spans
-    spans.sample_every = 2
-    first = [spans.open("wire.msg") for _ in range(4)]
-    spans.reset()
-    second = [spans.open("wire.msg") for _ in range(4)]
-    assert first == second
-    assert spans.enabled  # the opt-in gate survives reset
-
-
 def test_telemetry_span_context_opens_and_closes_tracker_span():
     sim = make_sim()
     spans = sim.telemetry.spans
