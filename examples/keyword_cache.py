@@ -5,10 +5,10 @@ Peers issue search queries; each peer counts, per keyword, how many of its
 own queries contained it.  Several peers simultaneously want the globally
 frequent keywords — each with a *different* threshold (a small cache wants
 only the very hottest keywords, a large cache can hold more).  Instead of
-running one netFilter per request, the requests are routed to the root,
-served by a single run at the minimum threshold, and each requester gets
-its own slice — with exact global counts, which is what cache replacement
-policies rank by.
+running one netFilter per request, the requests go to the query front
+door on the root, which serves the whole batch with a single run at the
+minimum threshold and carves each requester its own slice — with exact
+global counts, which is what cache replacement policies rank by.
 
 Run:  python examples/keyword_cache.py
 """
@@ -18,13 +18,12 @@ from __future__ import annotations
 from repro import (
     AggregationEngine,
     Hierarchy,
-    IfiRequest,
-    MultiRequestCoordinator,
     NetFilterConfig,
     Network,
     Simulation,
     Topology,
 )
+from repro.frontdoor import FrontDoor
 from repro.workload.applications import query_keyword_workload
 
 
@@ -46,29 +45,36 @@ def main() -> None:
 
     hierarchy = Hierarchy.build(network, root=0)
     engine = AggregationEngine(hierarchy)
-    coordinator = MultiRequestCoordinator(
+    front_door = FrontDoor(
         engine,
         NetFilterConfig(filter_size=150, num_filters=3, threshold_ratio=0.01),
     )
 
     # Three caches of different sizes ask simultaneously.
     leaves = hierarchy.leaves()
-    requests = [
-        IfiRequest(requester=leaves[0], threshold_ratio=0.02),   # small cache
-        IfiRequest(requester=leaves[1], threshold_ratio=0.005),  # large cache
-        IfiRequest(requester=leaves[2], threshold_ratio=0.01),   # medium cache
+    caches = [
+        (leaves[0], 0.02),   # small cache
+        (leaves[1], 0.005),  # large cache
+        (leaves[2], 0.01),   # medium cache
     ]
-    answers, shared = coordinator.run(requests)
+    request_ids = [
+        front_door.submit("caches", leaf, ratio) for leaf, ratio in caches
+    ]
+    front_door.drain()
 
-    print(f"{len(requests)} concurrent requests served by ONE netFilter run "
-          f"at the minimum ratio {shared.config.threshold_ratio}")
-    print(f"(shared run: {len(shared.frequent)} keywords over the minimum "
-          f"threshold, {shared.breakdown.total:.0f} bytes/peer)\n")
-    for request in requests:
-        keywords = answers[request.requester]
+    (row,) = [row for row in front_door.round_rows if row["batched"]]
+    shared = front_door.cache.entry("session")
+    print(f"{row['batched']} concurrent requests served by ONE netFilter run "
+          f"at the minimum ratio {shared.base_ratio}")
+    print(f"(shared run: {row['session_attempts']} attempt(s), "
+          f"{len(shared.frequent)} keywords over the minimum threshold, "
+          f"{row['session_bytes'] / n_peers:.0f} bytes/peer)\n")
+    for request_id in request_ids:
+        record = front_door.outcome(request_id)
+        keywords = record.items
         top = sorted(keywords, key=lambda pair: -pair[1])[:5]
-        print(f"Peer {request.requester} (threshold ratio "
-              f"{request.threshold_ratio}): {len(keywords)} cacheable keywords")
+        print(f"Peer {record.requester} (threshold ratio "
+              f"{record.threshold_ratio}): {len(keywords)} cacheable keywords")
         for keyword, count in top:
             print(f"    keyword {keyword:>5}: appears in {count} queries")
 

@@ -38,8 +38,6 @@ from repro.core import (
     FilterBank,
     GossipNetFilter,
     GossipNetFilterConfig,
-    IfiRequest,
-    MultiRequestCoordinator,
     NaiveProtocol,
     NaiveResult,
     NetFilter,
@@ -88,10 +86,8 @@ __all__ = [
     "GossipConfig",
     "HeartbeatConfig",
     "Hierarchy",
-    "IfiRequest",
     "LocalItemSet",
     "MetricsRegistry",
-    "MultiRequestCoordinator",
     "NaiveProtocol",
     "NaiveResult",
     "NetFilter",

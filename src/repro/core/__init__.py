@@ -16,8 +16,9 @@
 * :mod:`repro.core.sampling` — in-network parameter estimation
   (Section IV-E, Formulae 7-8).
 * :mod:`repro.core.cost_model` — the analytic cost model (Formulae 1-2, 5).
-* :mod:`repro.core.requests` — concurrent-request sharing via the minimum
-  threshold (Section III-A.1).
+
+Concurrent-request sharing via the minimum threshold (Section III-A.1)
+lives in the query front door, :mod:`repro.frontdoor.batching`.
 """
 
 from repro.core.approximate import (
@@ -45,7 +46,6 @@ from repro.core.optimizer import (
     optimal_filter_size,
 )
 from repro.core.oracle import oracle_frequent_items
-from repro.core.requests import IfiRequest, MultiRequestCoordinator
 from repro.core.sampling import ParameterEstimator, SamplingConfig
 from repro.core.sketches import CountMinSketch
 from repro.core.verification import HeavyGroups, materialize_candidates
@@ -63,8 +63,6 @@ __all__ = [
     "GossipNetFilterResult",
     "HashFilter",
     "HeavyGroups",
-    "IfiRequest",
-    "MultiRequestCoordinator",
     "NaiveProtocol",
     "NaiveResult",
     "NetFilter",

@@ -42,12 +42,6 @@ class ProtocolError(ReproError):
     condition, and is therefore an exception rather than a result code."""
 
 
-class RequestTimeoutError(ProtocolError):
-    """A request/answer exchange missed its deadline.  The message names
-    the peers whose traffic never arrived, so callers (and test
-    assertions) can tell a lost request from a lost result."""
-
-
 class ConfigurationError(ReproError):
     """User-supplied configuration is invalid (non-positive filter size,
     threshold ratio outside ``(0, 1]``, ...)."""

@@ -1,11 +1,12 @@
-"""N-way shared aggregation sessions for batched requests.
+"""Concurrent requests sharing one netFilter run (Section III-A.1).
 
-This generalizes the pairwise minimum-threshold sharing of
-:class:`~repro.core.requests.MultiRequestCoordinator`: a whole batch of
-admitted requests, with differing threshold ratios, is served by **one**
-netFilter execution at the minimum requested ratio, and each member's
-answer is carved from the shared superset at its own threshold (items
-frequent at ``t`` are a subset of those frequent at ``t_min``).
+This module is the one statement of the paper's request-sharing rule:
+a whole batch of admitted requests, with differing threshold ratios, is
+served by **one** netFilter execution at the *minimum* requested ratio,
+and each member's answer is carved from the shared superset at its own
+threshold (items frequent at ``t`` are a subset of those frequent at
+``t_min``).  Requests reach it through
+:meth:`repro.frontdoor.FrontDoor.submit`.
 
 The session is :func:`repro.core.session.run_attempt` under
 :func:`~repro.core.session.supervise`: unlike :meth:`NetFilter.run` it

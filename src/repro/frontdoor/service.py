@@ -180,11 +180,14 @@ class FrontDoor:
 
         The request terminates by ``config.client_timeout`` at the
         latest — as ``REJECTED(timeout)`` if no answer ever lands.
+        Bad input (a ratio outside ``(0, 1]``, an unknown requester)
+        raises before the request is recorded.
         """
         if not 0 < threshold_ratio <= 1:
             raise ProtocolError(
                 f"threshold_ratio must be in (0, 1], got {threshold_ratio}"
             )
+        node = self.network.node(requester)
         policy = self.admission.account(tenant).policy
         tolerance = policy.max_staleness if max_staleness is None else max_staleness
         request_id = self._next_request_id
@@ -220,7 +223,7 @@ class FrontDoor:
             # The root queries itself: no wire hop, straight to admission.
             self._on_request_payload(payload)
         else:
-            self.network.node(requester).send(root, payload)
+            node.send(root, payload)
         return request_id
 
     def outcome(self, request_id: int) -> RequestRecord:
@@ -231,11 +234,6 @@ class FrontDoor:
     def outstanding(self) -> int:
         """Requests submitted but not yet terminal."""
         return len(self._outstanding)
-
-    @property
-    def queue_depth(self) -> int:
-        """Requests admitted and waiting for a shared session."""
-        return len(self._queue)
 
     # ------------------------------------------------------------------
     # Wire handlers

@@ -74,7 +74,7 @@ class HierarchyService:
     node's :class:`~repro.hierarchy.roles.HierarchyState` current.  The
     repair logic lives in
     :class:`~repro.hierarchy.maintenance.MaintenanceService`, which drives
-    this service through :meth:`attach_under` and :meth:`invalidate`.
+    this service through :meth:`attach_under` and :meth:`drop_child`.
 
     ``tag`` distinguishes coexisting hierarchies (Section III-A.1 builds
     several for redundancy): each instance's messages are dispatched to
@@ -193,10 +193,6 @@ class HierarchyService:
     # ------------------------------------------------------------------
     # Repair hooks (driven by MaintenanceService)
     # ------------------------------------------------------------------
-    def invalidate(self) -> None:
-        """Detach (depth ← ∞) — Section III-A.3 repair entry point."""
-        self.state.detach()
-
     def drop_child(self, child: int) -> None:
         """Remove a child detected as failed."""
         self.state.downstream.discard(child)

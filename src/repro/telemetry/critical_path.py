@@ -138,14 +138,6 @@ def children_of(spans: dict[int, SpanNode]) -> dict[int, list[SpanNode]]:
     return index
 
 
-def roots(spans: dict[int, SpanNode]) -> list[SpanNode]:
-    """Spans whose parent is outside the trace (usually parent 0)."""
-    return sorted(
-        (n for n in spans.values() if n.parent not in spans),
-        key=lambda n: n.sid,
-    )
-
-
 def sessions(spans: dict[int, SpanNode]) -> list[SpanNode]:
     """All ``agg.session`` spans, in open order."""
     return sorted(

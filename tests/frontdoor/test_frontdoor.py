@@ -8,7 +8,8 @@ import pytest
 from repro.aggregation.hierarchical import AggregationEngine
 from repro.core.config import NetFilterConfig, ceil_threshold
 from repro.core.oracle import oracle_frequent_items
-from repro.errors import ProtocolError
+from repro.errors import NetworkError, ProtocolError
+from repro.faults import DropMessages, FaultInjector, FaultScenario, MessageMatch
 from repro.frontdoor import (
     COMMITTED,
     DEGRADED,
@@ -23,6 +24,8 @@ from repro.net.overlay import Topology
 from repro.net.transport import TransportConfig
 from repro.sim.engine import Simulation
 from repro.workload.workload import Workload
+
+from tests.conftest import build_small_system
 
 FILTER = NetFilterConfig(filter_size=200, num_filters=2, threshold_ratio=0.01)
 
@@ -230,6 +233,87 @@ def test_dead_root_requests_time_out():
     assert record.reason == "timeout"
     assert record.latency <= config.client_timeout + config.round_interval
     assert door.outstanding == 0
+
+
+def small_door(seed):
+    """A front door over the plain (unhardened) small system."""
+    system = build_small_system(seed=seed)
+    door = FrontDoor(
+        system.engine,
+        NetFilterConfig(filter_size=60, num_filters=3, threshold_ratio=0.01),
+    )
+    return system, door
+
+
+def drop(network, payload_kind, count):
+    FaultInjector(
+        network,
+        FaultScenario(
+            name=f"eat-{payload_kind}",
+            actions=(
+                DropMessages(match=MessageMatch(payload_kind=payload_kind), count=count),
+            ),
+        ),
+    ).install()
+
+
+def test_root_requester_commits_without_a_wire_hop():
+    system, door = small_door(seed=6)
+    # Every query payload on the wire would be eaten; the root's own
+    # request must never be one.
+    drop(system.network, "QueryRequestPayload", count=1000)
+    request_id = door.submit("acme", system.hierarchy.root, 0.01)
+    door.drain()
+    record = door.outcome(request_id)
+    assert record.status == COMMITTED
+    assert record.items == oracle_frequent_items(system.network, record.threshold)
+    assert system.sim.telemetry.registry.counter("faults.injected").value == 0
+
+
+@pytest.mark.parametrize(
+    ("payload_kind", "count"),
+    [("QueryRequestPayload", 1), ("QueryAnswerPayload", 50)],
+)
+def test_lost_query_traffic_times_out_promptly(payload_kind, count):
+    """A lost request (it never reaches the root) and a lost answer (the
+    shared session ran, but nothing came back) both end as
+    ``REJECTED(timeout)`` by the client deadline."""
+    system, door = small_door(seed=6)
+    drop(system.network, payload_kind, count)
+    leaves = system.hierarchy.leaves()
+    ids = [door.submit("acme", leaves[0], 0.01), door.submit("acme", leaves[1], 0.02)]
+    door.drain()
+    records = [door.outcome(request_id) for request_id in ids]
+    config = door.config
+    assert records[0].status == REJECTED
+    assert records[0].reason == "timeout"
+    assert records[0].latency <= config.client_timeout + config.round_interval
+    if payload_kind == "QueryAnswerPayload":
+        assert records[1].status == REJECTED and records[1].reason == "timeout"
+    else:
+        # Only the first request was eaten; the second one committed.
+        assert records[1].status == COMMITTED
+    assert system.sim.telemetry.registry.counter("faults.injected").value > 0
+
+
+@pytest.mark.parametrize("ratio", [0.0, -0.01, 1.5])
+def test_submit_rejects_ratio_outside_unit_interval(ratio):
+    _, _, door = build_door()
+    with pytest.raises(ProtocolError, match="threshold_ratio"):
+        door.submit("acme", 3, ratio)
+    assert door.records == {}
+
+
+def test_submit_of_unknown_requester_changes_nothing():
+    sim, _, door = build_door(n_peers=20)
+    with pytest.raises(NetworkError, match="unknown peer 999"):
+        door.submit("acme", 999, 0.01)
+    assert door.records == {}
+    assert door.outstanding == 0
+    assert "frontdoor.submit" not in sim.telemetry.tracer.counters
+    assert door.submit("acme", 3, 0.01) == 0
+    door.drain()
+    assert door.status_counts() == {COMMITTED: 1, DEGRADED: 0, REJECTED: 0}
 
 
 def test_monitor_feed_fills_the_cache():
