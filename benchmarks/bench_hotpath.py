@@ -33,7 +33,9 @@ import json
 import os
 import pathlib
 import resource
+import statistics
 import sys
+import tempfile
 from multiprocessing import get_context
 from time import perf_counter
 
@@ -88,10 +90,11 @@ BASELINE: dict[tuple[int, str], dict[str, float]] = {
 MIN_SMOKE_SPEEDUP = 2.0
 
 #: Recording causal spans may cost at most this factor over plain
-#: telemetry-on, measured in the same run on the same machine (the two
-#: cells are interleaved in one sweep, so the ratio is machine
-#: independent).
+#: telemetry-on, measured in the same run on the same machine: the ratio
+#: of the two cells' median throughput over ``SPANS_GATE_REPEATS``
+#: interleaved runs each, so load drift on a shared machine hits both.
 SPANS_MAX_OVERHEAD = 1.25
+SPANS_GATE_REPEATS = 3
 
 
 class HotpathPingPayload(Payload):
@@ -195,8 +198,6 @@ def measure_cell(n_peers: int, mode: str, tmpdir: str) -> dict:
 
 def sweep_cells() -> list[dict]:
     """Measure every cell; rows carry the recorded baseline + speedup."""
-    import tempfile
-
     rows = []
     with tempfile.TemporaryDirectory() as tmpdir:
         for n_peers, mode in CELLS:
@@ -213,6 +214,17 @@ def sweep_cells() -> list[dict]:
                 }
             )
     return rows
+
+
+def spans_overhead() -> float:
+    """Median telemetry-on throughput over median spans throughput at
+    N=2000, the two cells run alternately ``SPANS_GATE_REPEATS`` times."""
+    rates: dict[str, list[float]] = {"on": [], "spans": []}
+    with tempfile.TemporaryDirectory() as tmpdir:
+        for _ in range(SPANS_GATE_REPEATS):
+            for mode, measured in rates.items():
+                measured.append(measure_cell(2000, mode, tmpdir)["events_per_sec"])
+    return statistics.median(rates["on"]) / statistics.median(rates["spans"])
 
 
 def test_hotpath_throughput(benchmark) -> None:
@@ -235,15 +247,14 @@ def test_hotpath_throughput(benchmark) -> None:
         assert row["msgs_delivered"] == PINGS_PER_TICK * MAX_TICKS * n_peers
     acceptance = by_cell[(2000, "off")]
     assert acceptance["speedup"] >= MIN_SMOKE_SPEEDUP
-    # Spans overhead, measured against telemetry-on *in the same sweep*
-    # so the ratio does not depend on the machine.
-    spans_overhead = (
-        by_cell[(2000, "on")]["events_per_sec"]
-        / by_cell[(2000, "spans")]["events_per_sec"]
-    )
-    assert spans_overhead <= SPANS_MAX_OVERHEAD, (
-        f"spans-enabled cell is {spans_overhead:.2f}x slower than "
-        f"telemetry-on (allowed {SPANS_MAX_OVERHEAD}x)"
+    # Spans overhead against telemetry-on, interleaved on one machine so
+    # the ratio does not depend on the machine or its load.
+    overhead = spans_overhead()
+    emit(f"spans/on overhead at N=2000: {overhead:.3f}x")
+    assert overhead <= SPANS_MAX_OVERHEAD, (
+        f"spans-enabled cell is {overhead:.2f}x slower than "
+        f"telemetry-on (allowed {SPANS_MAX_OVERHEAD}x, median of "
+        f"{SPANS_GATE_REPEATS} interleaved runs each)"
     )
     if os.environ.get("REPRO_BENCH_WRITE") == "1":
         BENCH_PATH.write_text(json.dumps(rows, indent=2) + "\n")

@@ -5,8 +5,9 @@ The library implements the **netFilter** two-phase in-network filtering
 protocol for the IFI (Identifying Frequent Items) problem, together with
 every substrate it runs on: a deterministic discrete-event engine, an
 unstructured P2P overlay with heartbeats and churn, a BFS aggregation
-hierarchy with repair, hierarchical and gossip aggregate computation, the
-naive full-collection baseline, the paper's analytic cost model and
+hierarchy with repair, hierarchical aggregate computation (and push-sum
+gossip as an array program, :mod:`repro.vec.gossip`), the naive
+full-collection baseline, the paper's analytic cost model and
 optimal-setting formulas, in-network parameter estimation by branch
 sampling, workload generators (including the six Table I applications),
 and an experiment harness regenerating every figure of the evaluation.
@@ -29,15 +30,13 @@ Quickstart
 True
 """
 
-from repro.aggregation import AggregationEngine, GossipAggregation, GossipConfig
+from repro.aggregation import AggregationEngine
 from repro.core import (
     ApproximateConfig,
     ApproximateIFIProtocol,
     ContinuousNetFilter,
     CountMinSketch,
     FilterBank,
-    GossipNetFilter,
-    GossipNetFilterConfig,
     NaiveProtocol,
     NaiveResult,
     NetFilter,
@@ -74,16 +73,12 @@ __all__ = [
     "ChurnConfig",
     "ContinuousNetFilter",
     "CountMinSketch",
-    "GossipNetFilter",
-    "GossipNetFilterConfig",
     "ZipfStream",
     "ChurnProcess",
     "CostAccounting",
     "CostBreakdown",
     "CostCategory",
     "FilterBank",
-    "GossipAggregation",
-    "GossipConfig",
     "HeartbeatConfig",
     "Hierarchy",
     "LocalItemSet",

@@ -16,8 +16,9 @@ The machinery is generic over *what* is aggregated:
 * :mod:`repro.aggregation.hierarchical` — the convergecast engine: request
   broadcast down the tree, merged replies up the tree, with timeouts so a
   failed child cannot stall its parent forever.
-* :mod:`repro.aggregation.gossip` — push-sum gossip aggregation, the
-  paper's stated future-work alternative, implemented for comparison.
+
+Push-sum gossip, the paper's stated future-work alternative, is an array
+program in :mod:`repro.vec.gossip`.
 
 Every netFilter phase and the naive baseline are thin layers over this
 package: candidate filtering is a vector-sum aggregation, candidate
@@ -34,8 +35,6 @@ from repro.aggregation.combiners import (
     TupleCombiner,
     VectorSumCombiner,
 )
-from repro.aggregation.gossip import GossipAggregation, GossipConfig
-from repro.aggregation.gossip_keyed import KeyedGossipAggregation
 from repro.aggregation.hierarchical import AggregationEngine, SessionHandle
 from repro.aggregation.spec import AggregateSpec
 
@@ -43,9 +42,6 @@ __all__ = [
     "AggregateSpec",
     "AggregationEngine",
     "Combiner",
-    "GossipAggregation",
-    "GossipConfig",
-    "KeyedGossipAggregation",
     "KeyedSumCombiner",
     "MaxCombiner",
     "MinCombiner",

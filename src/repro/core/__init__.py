@@ -30,11 +30,6 @@ from repro.core.config import NetFilterConfig
 from repro.core.continuous import ContinuousNetFilter, EpochReport
 from repro.core.cost_model import naive_cost_bounds, netfilter_cost
 from repro.core.filters import FilterBank, HashFilter
-from repro.core.gossip_netfilter import (
-    GossipNetFilter,
-    GossipNetFilterConfig,
-    GossipNetFilterResult,
-)
 from repro.core.naive import NaiveProtocol, NaiveResult
 from repro.core.netfilter import NetFilter, NetFilterResult
 from repro.core.optimizer import (
@@ -58,9 +53,6 @@ __all__ = [
     "CountMinSketch",
     "EpochReport",
     "FilterBank",
-    "GossipNetFilter",
-    "GossipNetFilterConfig",
-    "GossipNetFilterResult",
     "HashFilter",
     "HeavyGroups",
     "NaiveProtocol",

@@ -1,17 +1,14 @@
 """Ablations of netFilter's design choices (beyond the paper's figures).
 
-Four studies, each isolating one design decision that DESIGN.md calls out:
-
-* :func:`ablation_multi_filter` — are ``f`` independent small filters
-  better than one big filter *at the same filtering budget* ``f·g``?
-  (Section III-B.2's Strategy 2 vs a bigger Strategy 1.)
-* :func:`ablation_gossip` — hierarchical vs push-sum gossip aggregation
-  for phase 1: byte cost and accuracy (the paper's future-work direction).
-* :func:`ablation_parameter_estimation` — netFilter tuned from the
-  Section IV-E sampling estimates vs tuned from the oracle: how much does
-  estimation error cost?
-* :func:`ablation_topology` — sensitivity of the cost to the overlay
-  family the hierarchy is built over.
+Nine studies, each isolating one design decision that DESIGN.md calls
+out; :func:`run_all_ablations` runs them all.  They weigh ``f`` small
+filters against one big one at a fixed ``f·g`` budget, hierarchical
+against push-sum aggregation, sampling- against oracle-tuned settings,
+overlay families, exact netFilter against an ε-tolerant sketch, a random
+against a central root, hierarchical against gossip netFilter (Section
+VI's future work), delta against dense continuous filtering, and the
+cost of a per-message header.  The two gossip studies run as array
+programs (:mod:`repro.vec.gossip`).
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.aggregation.gossip import GossipAggregation, GossipConfig
 from repro.core.config import NetFilterConfig
 from repro.core.filters import FilterBank
 from repro.core.netfilter import NetFilter
@@ -35,6 +31,14 @@ from repro.metrics.breakdown import CostBreakdown
 from repro.net.network import Network
 from repro.net.overlay import Topology
 from repro.sim.engine import Simulation
+from repro.vec.gossip import (
+    GossipNetFilterConfig,
+    Overlay,
+    estimate_at,
+    gossip_netfilter,
+    push_bytes,
+    push_sum,
+)
 from repro.workload.workload import Workload
 
 
@@ -101,23 +105,19 @@ def ablation_gossip(
     )
     hierarchical = NetFilter(config).run(trial.engine).breakdown
 
-    contributions = {
-        peer: bank.local_group_aggregates(network.node(peer).items).astype(np.float64)
-        for peer in network.live_peers()
-    }
-    truth = np.sum(list(contributions.values()), axis=0)
-    gossip = GossipAggregation(
-        network,
-        contributions,
-        length=filter_size,
-        config=GossipConfig(rounds=rounds),
+    overlay = Overlay.from_network(network)
+    mass = np.array(
+        [bank.local_group_aggregates(network.node(int(peer)).items) for peer in overlay.peers],
+        dtype=np.float64,
     )
-    before = network.accounting.bytes_by_category()
-    gossip.run()
-    pushsum = CostBreakdown.from_delta(
-        before, network.accounting.bytes_by_category(), network.n_peers
+    truth = mass.sum(axis=0)
+    weight = np.ones(overlay.peers.size)
+    messages, _ = push_sum(overlay, mass, weight, rounds, network.sim.rng.stream("gossip"))
+    sent = push_bytes(
+        network.size_model, messages, messages * filter_size, network.size_model.aggregate_bytes
     )
-    estimate = gossip.estimate_at(trial.hierarchy.root)
+    # Uniform weights: x/w estimates the average, scaled by the peer count.
+    estimate = estimate_at(overlay, mass, weight, trial.hierarchy.root) * overlay.peers.size
     nonzero = truth > 0
     rel_error = (
         float(np.max(np.abs(estimate[nonzero] - truth[nonzero]) / truth[nonzero]))
@@ -132,7 +132,7 @@ def ablation_gossip(
         AblationRow(
             f"push-sum({rounds}r)",
             {
-                "B/peer": pushsum.gossip,
+                "B/peer": sent / network.n_peers,
                 "max rel err": rel_error,
                 "rounds": float(rounds),
             },
@@ -282,11 +282,10 @@ def ablation_gossip_netfilter(
     scale: ExperimentScale | None = None, seed: int = 0
 ) -> list[AblationRow]:
     """Hierarchical netFilter vs the fully-gossip variant (Section VI's
-    future work, implemented in :mod:`repro.core.gossip_netfilter`).
+    future work, implemented in :mod:`repro.vec.gossip`).
 
     Reports bytes, simulated latency, and answer quality of each.
     """
-    from repro.core.gossip_netfilter import GossipNetFilter, GossipNetFilterConfig
     from repro.core.oracle import oracle_frequent_items
 
     scale = scale or ExperimentScale.small()
@@ -298,13 +297,13 @@ def ablation_gossip_netfilter(
 
     # A fresh, identical system; gossip ignores its hierarchy.
     network = build_trial(scale, seed=seed).network
-    started = network.sim.now
-    gossip_result = GossipNetFilter(
+    gossip_result = gossip_netfilter(
+        network,
         GossipNetFilterConfig(
             filter_size=100, num_filters=3, threshold_ratio=ratio, rounds=60
-        )
-    ).run(network, requester=0)
-    gossip_elapsed = network.sim.now - started
+        ),
+        requester=0,
+    )
     truth = oracle_frequent_items(network, gossip_result.threshold)
     missed = sum(1 for item in truth.ids if item not in gossip_result.reported)
     return [
@@ -321,7 +320,7 @@ def ablation_gossip_netfilter(
             "gossip(60r)",
             {
                 "B/peer": gossip_result.total_cost,
-                "latency": gossip_elapsed,
+                "latency": gossip_result.elapsed_time,
                 "missed": float(missed),
                 "reported": float(len(gossip_result.reported)),
             },

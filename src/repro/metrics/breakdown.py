@@ -29,6 +29,7 @@ class CostBreakdown:
     control: float = 0.0
     naive: float = 0.0
     sampling: float = 0.0
+    #: Push-sum bytes, priced by :mod:`repro.vec.gossip`; no category holds them.
     gossip: float = 0.0
     sketch: float = 0.0
 
@@ -74,7 +75,6 @@ class CostBreakdown:
             control=avg(CostCategory.CONTROL),
             naive=avg(CostCategory.NAIVE),
             sampling=avg(CostCategory.SAMPLING),
-            gossip=avg(CostCategory.GOSSIP),
             sketch=avg(CostCategory.SKETCH),
         )
 

@@ -107,8 +107,8 @@ class ReliabilityConfig:
     ----------
     categories:
         Cost categories whose payloads are sent reliably.  Defaults to the
-        convergecast/control categories; gossip traffic is redundant by
-        design and stays fire-and-forget.
+        convergecast/control categories; the sketch comparator's traffic
+        stays fire-and-forget.
     ack_timeout:
         Initial retransmit timeout, doubled per further copy
         (:func:`~repro.sim.timers.backoff`).  Must exceed one round trip

@@ -41,8 +41,6 @@ class CostCategory(str, enum.Enum):
     NAIVE = "naive"
     #: Random-branch sampling traffic for parameter estimation (Section IV-E).
     SAMPLING = "sampling"
-    #: Push-sum gossip traffic (the paper's future-work aggregation).
-    GOSSIP = "gossip"
     #: Sketch-based approximate-IFI traffic (the related-work comparator
     #: of the paper's footnote 5).
     SKETCH = "sketch"

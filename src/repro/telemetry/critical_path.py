@@ -34,9 +34,6 @@ PHASE_KINDS = (
     "totals.phase",
     "filter.phase",
     "verify.phase",
-    "gossip.filter.phase",
-    "gossip.flood.phase",
-    "gossip.verify.phase",
 )
 
 

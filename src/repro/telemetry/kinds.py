@@ -86,10 +86,6 @@ TRACE_KINDS: dict[str, str] = {
     "frontdoor.answer": "the root sent a terminal answer back to a requester",
     "frontdoor.timeout": "a client-side request deadline expired unanswered",
     "frontdoor.breaker": "the overload circuit breaker changed state",
-    # -- netFilter (gossip variant) ------------------------------------
-    "gossip.filter.phase": "span: push-sum candidate filtering",
-    "gossip.flood.phase": "span: heavy-group overlay flood",
-    "gossip.verify.phase": "span: keyed push-sum verification",
     # -- causal spans (repro.telemetry.spans) ---------------------------
     "span.open": "a causal span opened (fields: span, parent, span_kind, peer)",
     "span.close": "a causal span closed (fields: span, status, cause)",

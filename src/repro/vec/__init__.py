@@ -19,10 +19,13 @@ peers.  This package holds the dense tier that removes that ceiling:
   sampled-subpopulation exactness audit;
 * :mod:`repro.vec.shard` — the multiprocess space-sharding driver
   (:func:`run_sharded`): the same executor over ``K`` trees, which puts
-  an N=10^6 run on all cores.
+  an N=10^6 run on all cores;
+* :mod:`repro.vec.gossip` — push-sum gossip over the live overlay's CSR
+  and the hierarchy-free gossip netFilter (Section VI's future work),
+  the comparators of the hierarchical design.
 
-What the protocol computes and what each message costs are not restated
-here: the executor runs the event engine's own
+What the hierarchical protocol computes and what each message costs
+are not restated here: the executor runs the event engine's own
 :func:`~repro.core.netfilter.one_shot_plan`.  The contract with the
 scalar tier is *exact equivalence* on statically faulted networks: same
 frequent-item sets, same byte totals per cost category, pinned by

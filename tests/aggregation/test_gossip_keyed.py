@@ -1,89 +1,107 @@
-"""Tests for keyed push-sum gossip."""
+"""Tests for push-sum over keyed mass: a dense peers × keys matrix with
+one initiator holding the weight (:mod:`repro.vec.gossip`)."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.aggregation.gossip import GossipConfig
-from repro.aggregation.gossip_keyed import KeyedGossipAggregation
 from repro.errors import AggregationError
 from repro.net.network import Network
 from repro.net.overlay import Topology
-from repro.net.wire import CostCategory
+from repro.net.wire import SizeModel
 from repro.sim.engine import Simulation
+from repro.vec.gossip import Overlay, estimate_at, push_bytes, push_sum
+
+N_KEYS = 20
 
 
 def make(
-    seed: int = 0, n_peers: int = 30, rounds: int = 60
-) -> tuple[Network, KeyedGossipAggregation, dict[int, float]]:
-    import numpy as np
-
+    seed: int = 0, n_peers: int = 30
+) -> tuple[Network, Overlay, np.ndarray, np.ndarray, np.ndarray]:
+    """Each peer holds 5 of 20 keys; initiator is peer 0.  Returns the
+    network, overlay, keyed mass, weight and the true per-key sums."""
     sim = Simulation(seed=seed)
     rng = np.random.default_rng(seed)
-    topology = Topology.random_connected(n_peers, 5.0, rng)
-    network = Network(sim, topology)
-    contributions = {
-        peer: {int(k): float(rng.integers(1, 50)) for k in rng.choice(20, size=5, replace=False)}
-        for peer in range(n_peers)
-    }
-    truth: dict[int, float] = {}
-    for keyed in contributions.values():
-        for key, value in keyed.items():
-            truth[key] = truth.get(key, 0.0) + value
-    gossip = KeyedGossipAggregation(
-        network, contributions, initiator=0, config=GossipConfig(rounds=rounds)
+    network = Network(sim, Topology.random_connected(n_peers, 5.0, rng))
+    mass = np.zeros((n_peers, N_KEYS))
+    for peer in range(n_peers):
+        keys = rng.choice(N_KEYS, size=5, replace=False)
+        mass[peer, keys] = rng.integers(1, 50, size=5)
+    weight = np.zeros(n_peers)
+    weight[0] = 1.0
+    return network, Overlay.from_network(network), mass, weight, mass.sum(axis=0)
+
+
+def run(
+    network: Network, overlay: Overlay, mass: np.ndarray, weight: np.ndarray, rounds: int
+) -> int:
+    """Keyed push-sum; returns its bytes, one ``(id, value)`` pair per key."""
+    messages, pairs = push_sum(
+        overlay, mass, weight, rounds, network.sim.rng.stream("gossip.keyed")
     )
-    return network, gossip, truth
+    return push_bytes(SizeModel(), messages, pairs, SizeModel().pair_bytes)
 
 
 def test_initiator_estimates_converge():
-    _, gossip, truth = make(rounds=80)
-    gossip.run()
-    estimates = gossip.estimate_at(0)
-    assert set(estimates) == set(truth)
-    for key, value in truth.items():
-        assert estimates[key] == pytest.approx(value, rel=0.05)
+    network, overlay, mass, weight, truth = make()
+    run(network, overlay, mass, weight, 80)
+    estimates = estimate_at(overlay, mass, weight, 0)
+    assert np.array_equal(estimates != 0, truth != 0)
+    for key in np.flatnonzero(truth):
+        assert estimates[key] == pytest.approx(truth[key], rel=0.05)
 
 
 def test_mass_conservation():
-    _, gossip, truth = make(rounds=25)
-    gossip.run()
-    totals = gossip.total_mass()
-    for key, value in truth.items():
-        assert totals[key] == pytest.approx(value, rel=1e-9)
+    network, overlay, mass, weight, truth = make()
+    run(network, overlay, mass, weight, 25)
+    assert np.allclose(mass.sum(axis=0), truth, rtol=1e-9)
+    assert weight.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_zero_weight_peer_estimate_rejected_before_weight_spreads():
-    network, gossip, _ = make(rounds=1)
+    _, overlay, mass, weight, _ = make()
     # Before any round, only the initiator holds weight.
     with pytest.raises(AggregationError):
-        gossip.estimate_at(5)
+        estimate_at(overlay, mass, weight, 5)
 
 
 def test_bytes_charged_to_gossip():
-    network, gossip, _ = make(rounds=10)
-    gossip.run()
-    assert network.accounting.total_bytes(CostCategory.GOSSIP) > 0
+    """One round: every peer holds 5 keys, so each of the 30 pushes is the
+    weight plus 5 ``(id, value)`` pairs."""
+    network, overlay, mass, weight, _ = make()
+    assert run(network, overlay, mass, weight, 1) == 30 * (4 + 5 * 8)
 
 
 def test_unknown_initiator_rejected():
-    import numpy as np
-
-    sim = Simulation(seed=0)
-    network = Network(sim, Topology.star(4))
+    network = Network(Simulation(seed=0), Topology.star(4))
     network.fail_peer(2)
+    overlay = Overlay.from_network(network)
     with pytest.raises(AggregationError):
-        KeyedGossipAggregation(network, {}, initiator=2)
+        overlay.row(2)
+    with pytest.raises(AggregationError):
+        overlay.row(9)
 
 
 def test_empty_contributions_still_converge_weight():
-    import numpy as np
+    network = Network(Simulation(seed=1), Topology.star(6))
+    overlay = Overlay.from_network(network)
+    mass = np.zeros((6, 1))
+    mass[3, 0] = 42.0
+    weight = np.zeros(6)
+    weight[0] = 1.0
+    run(network, overlay, mass, weight, 60)
+    assert estimate_at(overlay, mass, weight, 0)[0] == pytest.approx(42.0, rel=0.05)
 
-    sim = Simulation(seed=1)
-    network = Network(sim, Topology.star(6))
-    gossip = KeyedGossipAggregation(
-        network, {3: {7: 42.0}}, initiator=0, config=GossipConfig(rounds=60)
-    )
-    gossip.run()
-    estimates = gossip.estimate_at(0)
-    assert estimates[7] == pytest.approx(42.0, rel=0.05)
+
+def test_peers_with_nothing_push_nothing():
+    """Only peers holding mass or weight push: on a star with the weight
+    at the centre and the only key at a leaf, round one is two messages."""
+    network = Network(Simulation(seed=1), Topology.star(6))
+    overlay = Overlay.from_network(network)
+    mass = np.zeros((6, 1))
+    mass[3, 0] = 42.0
+    weight = np.zeros(6)
+    weight[0] = 1.0
+    # The centre's push is the bare weight; the leaf's carries one pair.
+    assert run(network, overlay, mass, weight, 1) == 4 + (4 + 8)

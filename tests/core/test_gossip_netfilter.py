@@ -1,20 +1,23 @@
-"""Tests for the gossip-based netFilter (the paper's future work)."""
+"""Tests for the gossip-based netFilter (the paper's future work,
+:mod:`repro.vec.gossip`)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.gossip_netfilter import (
-    GossipNetFilter,
-    GossipNetFilterConfig,
-    GossipNetFilterResult,
-)
 from repro.core.oracle import oracle_frequent_items, oracle_global_values
-from repro.errors import ConfigurationError
+from repro.errors import AggregationError, ConfigurationError
 from repro.net.network import Network
 from repro.net.overlay import Topology
 from repro.sim.engine import Simulation
+from repro.vec.gossip import (
+    GossipNetFilterConfig,
+    GossipNetFilterResult,
+    Overlay,
+    flood_messages,
+    gossip_netfilter,
+)
 from repro.workload.workload import Workload
 
 
@@ -27,15 +30,15 @@ def build_network(seed: int = 0, n_peers: int = 50, n_items: int = 2000) -> Netw
     return network
 
 
+CONFIG = GossipNetFilterConfig(
+    filter_size=60, num_filters=2, threshold_ratio=0.01, rounds=80, safety_margin=0.1
+)
+
+
 @pytest.fixture(scope="module")
 def run():
     network = build_network(seed=1)
-    config = GossipNetFilterConfig(
-        filter_size=60, num_filters=2, threshold_ratio=0.01,
-        rounds=80, safety_margin=0.1,
-    )
-    result = GossipNetFilter(config).run(network, requester=0)
-    return network, result
+    return network, gossip_netfilter(network, CONFIG, requester=0)
 
 
 def test_no_false_negatives_with_margin(run):
@@ -66,11 +69,26 @@ def test_cost_charged_to_gossip_and_dissemination(run):
 
 
 def test_no_hierarchy_needed(run):
-    network, _ = run
-    # The run above never built a hierarchy: no CONTROL bytes at all.
-    from repro.net.wire import CostCategory
+    network, result = run
+    # No tree is built and nothing is sent on the event engine's wire.
+    assert result.breakdown.control == 0
+    assert network.accounting.bytes_by_category() == {}
 
-    assert network.accounting.total_bytes(CostCategory.CONTROL) == 0
+
+def test_elapsed_time_is_two_gossip_runs_around_the_flood(run):
+    _, result = run
+    expected = 2 * 2.0 * (CONFIG.rounds + 1) + 4.0 * 50**0.5 + 50.0
+    assert result.elapsed_time == pytest.approx(expected, rel=1e-12)
+
+
+def test_same_seed_replays_exactly():
+    first = gossip_netfilter(build_network(seed=6), CONFIG)
+    second = gossip_netfilter(build_network(seed=6), CONFIG)
+    assert first.reported == second.reported
+    assert first.grand_total_estimate == second.grand_total_estimate
+    assert first.breakdown == second.breakdown
+    for a, b in zip(first.heavy_groups.per_filter, second.heavy_groups.per_filter):
+        assert np.array_equal(a, b)
 
 
 def test_costlier_but_root_free_vs_hierarchical():
@@ -89,11 +107,11 @@ def test_costlier_but_root_free_vs_hierarchical():
     ).run(engine)
 
     gossip_network = build_network(seed=2)
-    gossip_result = GossipNetFilter(
-        GossipNetFilterConfig(
-            filter_size=60, num_filters=2, threshold_ratio=0.01, rounds=60
-        )
-    ).run(gossip_network, requester=0)
+    gossip_result = gossip_netfilter(
+        gossip_network,
+        GossipNetFilterConfig(filter_size=60, num_filters=2, threshold_ratio=0.01, rounds=60),
+        requester=0,
+    )
 
     assert gossip_result.total_cost > 3 * hier_result.breakdown.total
     truth = oracle_frequent_items(gossip_network, gossip_result.threshold)
@@ -101,15 +119,31 @@ def test_costlier_but_root_free_vs_hierarchical():
 
 
 def test_flood_reaches_every_peer():
-    from repro.core.gossip_netfilter import _Flood
-    from repro.core.verification import HeavyGroups
-
+    """Every peer of a connected overlay forwards once: the origin to all
+    its neighbours, every other peer to all but the one it heard from."""
     network = build_network(seed=3, n_peers=40)
-    flood = _Flood(network)
-    heavy = HeavyGroups(per_filter=(np.array([1, 2, 3]),))
-    flood.start(0, heavy, settle_time=100.0)
-    assert set(flood.received) == set(network.live_peers())
-    flood.teardown()
+    overlay = Overlay.from_network(network)
+    assert flood_messages(overlay, 0) == int(overlay.degree.sum()) - (40 - 1)
+
+
+def test_flood_counts_by_hand():
+    star = Network(Simulation(seed=0), Topology.star(5))
+    assert flood_messages(Overlay.from_network(star), 0) == 4
+    # From a leaf: one message to the centre, three on to the other leaves.
+    assert flood_messages(Overlay.from_network(star), 3) == 4
+    line = Network(Simulation(seed=0), Topology.line(4))
+    assert flood_messages(Overlay.from_network(line), 0) == 3
+    assert flood_messages(Overlay.from_network(line), 1) == 3
+    # A dead peer cuts the line: 0 reaches only 1, which has no one left.
+    line.fail_peer(2)
+    assert flood_messages(Overlay.from_network(line), 0) == 1
+
+
+def test_dead_requester_rejected():
+    network = build_network(seed=1, n_peers=20)
+    network.fail_peer(4)
+    with pytest.raises(AggregationError):
+        gossip_netfilter(network, CONFIG, requester=4)
 
 
 def test_margin_zero_may_lose_items_but_still_runs():
@@ -118,7 +152,7 @@ def test_margin_zero_may_lose_items_but_still_runs():
         filter_size=60, num_filters=2, threshold_ratio=0.01,
         rounds=40, safety_margin=0.0,
     )
-    result = GossipNetFilter(config).run(network, requester=0)
+    result = gossip_netfilter(network, config, requester=0)
     assert isinstance(result, GossipNetFilterResult)
 
 

@@ -66,6 +66,28 @@ def test_gossip_netfilter_ablation_misses_nothing():
     assert gossip.metrics["B/peer"] > hierarchical.metrics["B/peer"]
 
 
+
+def test_gossip_studies_pin_medium_rows():
+    """Both gossip studies at N=300, a scale the golden export does not
+    cover, equal the event engine's rows bit for bit (``==`` on floats)."""
+    from repro.experiments.ablations import ablation_gossip_netfilter
+
+    medium = ExperimentScale.medium()
+    assert medium.n_peers == 300
+    _, pushsum = ablation_gossip(medium, seed=0)
+    assert pushsum.metrics == {
+        "B/peer": 16160.0,
+        "max rel err": 0.005382419609510647,
+        "rounds": 40.0,
+    }
+    _, gossip = ablation_gossip_netfilter(medium, seed=0)
+    assert gossip.metrics == {
+        "B/peer": 285114.61333333334,
+        "latency": 363.28203230275506,
+        "missed": 0.0,
+        "reported": 9.0,
+    }
+
 def test_exact_vs_approximate_ablation_orders_by_epsilon():
     from repro.experiments.ablations import ablation_exact_vs_approximate
 

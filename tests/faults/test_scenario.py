@@ -42,7 +42,7 @@ def test_match_filters_by_sender_recipient_category():
     assert MessageMatch(recipient=1).matches(3, 1, payload)
     assert not MessageMatch(recipient=2).matches(3, 1, payload)
     assert MessageMatch(category=CostCategory.FILTERING).matches(3, 1, payload)
-    assert not MessageMatch(category=CostCategory.GOSSIP).matches(3, 1, payload)
+    assert not MessageMatch(category=CostCategory.SKETCH).matches(3, 1, payload)
 
 
 def test_match_payload_kind_is_a_prefix_match():

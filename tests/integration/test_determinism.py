@@ -80,17 +80,16 @@ def test_trace_counters_replay_exactly():
 
 
 def test_gossip_replays_exactly():
-    from repro.aggregation.gossip import GossipAggregation, GossipConfig
+    from repro.vec.gossip import Overlay, estimate_at, push_sum
 
-    def gossip_run(seed: int) -> np.ndarray:
+    def gossip_run(seed: int) -> tuple[np.ndarray, tuple[int, int]]:
         system = build_small_system(seed=seed, n_peers=30, n_items=500)
-        contributions = {
-            peer: np.array([float(peer), 1.0]) for peer in range(30)
-        }
-        gossip = GossipAggregation(
-            system.network, contributions, 2, GossipConfig(rounds=20)
-        )
-        gossip.run()
-        return gossip.estimate_at(0)
+        overlay = Overlay.from_network(system.network)
+        mass = np.array([[float(peer), 1.0] for peer in range(30)])
+        weight = np.ones(30)
+        sent = push_sum(overlay, mass, weight, 20, system.sim.rng.stream("gossip"))
+        return estimate_at(overlay, mass, weight, 0), sent
 
-    assert np.array_equal(gossip_run(3), gossip_run(3))
+    (first, first_sent), (second, second_sent) = gossip_run(3), gossip_run(3)
+    assert np.array_equal(first, second)
+    assert first_sent == second_sent
