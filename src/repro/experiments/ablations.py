@@ -470,39 +470,29 @@ def ablation_header_overhead(
 
 
 def run_all_ablations(
-    scale: ExperimentScale | None = None, seed: int = 0, jobs: int = 1
+    scale: ExperimentScale, seed: int = 0, jobs: int = 1
 ) -> dict[str, list[AblationRow]]:
-    """All ablation studies; keys are the study names.
+    """All ablation studies at ``scale``; keys are the study names.
 
     Each study is independent (fresh simulation, fresh RNG registry), so
     ``jobs > 1`` runs them study-per-worker; key order never changes.
     """
-    small = scale or ExperimentScale.small()
-    paper_or_scaled = scale or ExperimentScale.medium()
-    studies: tuple[tuple[str, Any, ExperimentScale], ...] = (
-        ("multi-filter split (fixed f*g budget)", ablation_multi_filter, paper_or_scaled),
-        ("hierarchical vs gossip aggregation", ablation_gossip, small),
-        (
-            "sampling-tuned vs oracle-tuned settings",
-            ablation_parameter_estimation,
-            paper_or_scaled,
-        ),
-        ("overlay topology sensitivity", ablation_topology, small),
-        (
-            "exact netFilter vs eps-tolerant sketch",
-            ablation_exact_vs_approximate,
-            paper_or_scaled,
-        ),
-        ("root selection (random vs central)", ablation_root_selection, small),
-        ("hierarchical vs gossip netFilter (future work)", ablation_gossip_netfilter, small),
-        ("continuous monitoring: delta vs dense filtering", ablation_continuous_monitoring, small),
-        ("per-message header overhead", ablation_header_overhead, small),
+    studies: tuple[tuple[str, Any], ...] = (
+        ("multi-filter split (fixed f*g budget)", ablation_multi_filter),
+        ("hierarchical vs gossip aggregation", ablation_gossip),
+        ("sampling-tuned vs oracle-tuned settings", ablation_parameter_estimation),
+        ("overlay topology sensitivity", ablation_topology),
+        ("exact netFilter vs eps-tolerant sketch", ablation_exact_vs_approximate),
+        ("root selection (random vs central)", ablation_root_selection),
+        ("hierarchical vs gossip netFilter (future work)", ablation_gossip_netfilter),
+        ("continuous monitoring: delta vs dense filtering", ablation_continuous_monitoring),
+        ("per-message header overhead", ablation_header_overhead),
     )
     results = run_trials(
         [
-            TrialSpec(fn=fn, kwargs=dict(scale=study_scale, seed=seed), label=name)
-            for name, fn, study_scale in studies
+            TrialSpec(fn=fn, kwargs=dict(scale=scale, seed=seed), label=name)
+            for name, fn in studies
         ],
         jobs=jobs,
     )
-    return {name: rows for (name, _, _), rows in zip(studies, results)}
+    return {name: rows for (name, _), rows in zip(studies, results)}

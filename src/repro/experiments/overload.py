@@ -218,6 +218,15 @@ def _baseline_bytes_per_query(config: OverloadConfig) -> float:
     return float(network.accounting.total_bytes())
 
 
+def _door_filter(config: OverloadConfig | FloodConfig) -> NetFilterConfig:
+    """The front door's filter shape (``g``, ``f``).  The door runs each
+    batch at that batch's own minimum ratio; this config's ratio is never
+    read, so it states none of the requests' ratios."""
+    return NetFilterConfig(
+        filter_size=config.filter_size, num_filters=config.num_filters, threshold_ratio=1.0
+    )
+
+
 def _build_system(
     sim: Simulation, config: OverloadConfig
 ) -> tuple[Network, Hierarchy]:
@@ -336,11 +345,7 @@ def _run_overload(sim: Simulation, config: OverloadConfig) -> OverloadResult:
     engine = AggregationEngine(hierarchy, child_timeout=30.0, hardened=True)
     door = FrontDoor(
         engine,
-        NetFilterConfig(
-            filter_size=config.filter_size,
-            num_filters=config.num_filters,
-            threshold_ratio=min(config.ratio_choices),
-        ),
+        _door_filter(config),
         FrontDoorConfig(
             round_interval=config.round_interval,
             session_deadline=config.session_deadline,
@@ -514,11 +519,7 @@ def run_flood(config: FloodConfig) -> FloodResult:
     share = -(-config.open_requests // config.tenants)
     door = FrontDoor(
         engine,
-        NetFilterConfig(
-            filter_size=config.filter_size,
-            num_filters=config.num_filters,
-            threshold_ratio=min(config.ratio_choices),
-        ),
+        _door_filter(config),
         FrontDoorConfig(
             round_interval=config.round_interval,
             session_deadline=config.session_deadline,

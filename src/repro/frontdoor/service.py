@@ -25,6 +25,7 @@ answers at all.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -411,18 +412,35 @@ class FrontDoor:
     # The monitor fast path
     # ------------------------------------------------------------------
     def _on_monitor_epoch(self, outcome: EpochOutcome) -> None:
-        """Deposit each monitoring answer into the cache (committed or
-        degraded — the entry carries the answer's own staleness)."""
+        """Deposit each monitoring answer into the cache.
+
+        The answer's staleness is in epochs and converts to the cache's
+        rounds rounded up.  A degraded epoch re-serves the data the held
+        entry already carries, so the entry keeps its deposit round: its
+        served staleness stays at least its rounds since the deposit and
+        at least the monitor's own bound."""
         answer = outcome.answer
-        base_ratio = self.monitor.monitor.config.threshold_ratio if self.monitor else None
+        monitor = self.monitor
+        assert monitor is not None, "only subscribed when a monitor is given"
+        base_ratio = monitor.monitor.config.threshold_ratio
         if base_ratio is None or answer.committed_epoch < 0:
             return
+        round_no = self._current_round()
+        staleness = math.ceil(
+            answer.staleness_epochs
+            * monitor.config.epoch_interval
+            / self.config.round_interval
+        )
+        held = self.cache.entry("monitor")
+        if held is not None and not outcome.committed:
+            staleness = max(staleness - (round_no - held.round_no), held.base_staleness)
+            round_no = held.round_no
         self.cache.put_monitor(
             frequent=answer.frequent,
             base_ratio=base_ratio,
             grand_total=answer.grand_total,
-            staleness=answer.staleness_epochs,
-            round_no=self._current_round(),
+            staleness=staleness,
+            round_no=round_no,
         )
 
     # ------------------------------------------------------------------

@@ -95,10 +95,6 @@ class Node:
             )
         self._handlers[payload_type] = handler
 
-    def unregister_handler(self, payload_type: type[Payload]) -> None:
-        """Remove a handler (used when a one-shot protocol session ends)."""
-        self._handlers.pop(payload_type, None)
-
     def deliver(self, message: Message) -> None:
         """Dispatch an incoming message to the registered handler.
 

@@ -18,11 +18,6 @@ escalates to a dense re-baseline, re-anchoring the root's group vector to
 the live population instead of chasing deltas through a membership the
 committed ledgers no longer describe; peers revived later resync off the
 new baseline (see :mod:`repro.core.continuous`).
-
-Any peer can query the service over the wire
-(:meth:`MonitorService.query_from`): a ``MonitorQueryPayload`` to the
-root is answered with the current :class:`MonitorAnswer`, degraded or
-not.
 """
 
 from __future__ import annotations
@@ -33,10 +28,8 @@ from typing import Callable
 from repro.core.continuous import ContinuousNetFilter, EpochReport
 from repro.core.session import ROOT_DEAD, run_attempt, supervise
 from repro.items.itemset import LocalItemSet
-from repro.net.message import Message
 from repro.service.answer import EpochOutcome, MonitorAnswer
 from repro.service.config import ServiceConfig
-from repro.service.payloads import MonitorAnswerPayload, MonitorQueryPayload
 from repro.sim.timers import backoff
 
 
@@ -51,8 +44,7 @@ class MonitorService:
         monitor = ContinuousNetFilter(config, engine, fading=0.9)
         service = MonitorService(monitor, ServiceConfig(epoch_interval=240))
         outcomes = service.run(epochs=50, before_epoch=apply_stream)
-        service.answer()           # newest answer, honest staleness bound
-        service.query_from(peer=7) # the same answer over the wire
+        service.answer()  # newest answer, honest staleness bound
     """
 
     def __init__(
@@ -69,12 +61,7 @@ class MonitorService:
         self.current_epoch = -1
         self._last_report: EpochReport | None = None
         self._consecutive_degraded = 0
-        self._client_answers: dict[int, MonitorAnswer] = {}
         self._listeners: list[Callable[[EpochOutcome], None]] = []
-        for peer in self.network.live_peers():
-            self._install(peer)
-        # fail() wipes a peer's handler table; re-install on every revive.
-        self.network.on_join(self._install)
 
     # ------------------------------------------------------------------
     # Serving
@@ -115,20 +102,6 @@ class MonitorService:
         (committed or degraded).  Consumers like the query front door use
         this to keep a warm cache of the newest honest answer."""
         self._listeners.append(listener)
-
-    def query_from(self, peer: int, timeout: float = 120.0) -> MonitorAnswer | None:
-        """Ask the root for the current answer over the wire, from
-        ``peer``; drives the simulation until the reply lands or
-        ``timeout`` sim time passes.  Returns ``None`` on timeout (root
-        unreachable)."""
-        root = self.engine.hierarchy.root
-        self._client_answers.pop(peer, None)
-        self.network.node(peer).send(root, MonitorQueryPayload(requester=peer))
-        deadline = self.sim.now + timeout
-        while peer not in self._client_answers:
-            if self.sim.now >= deadline or not self.sim.step():
-                break
-        return self._client_answers.get(peer)
 
     # ------------------------------------------------------------------
     # The epoch scheduler
@@ -260,33 +233,3 @@ class MonitorService:
             report = attempt.commit(result, live_at_start)
             span["frequent"] = len(result.frequent)
         return report, ""
-
-    # ------------------------------------------------------------------
-    # Wire serving
-    # ------------------------------------------------------------------
-    def _install(self, peer: int) -> None:
-        node = self.network.node(peer)
-        node.register_handler(MonitorQueryPayload, self._on_query)
-        node.register_handler(MonitorAnswerPayload, self._on_answer)
-
-    def _on_query(self, message: Message) -> None:
-        assert isinstance(message.payload, MonitorQueryPayload)
-        node = self.network.node(message.recipient)
-        if message.recipient != self.engine.hierarchy.root:
-            # A stale client aimed at a deposed/dead root's successor
-            # window: drop, the client retries against the current root.
-            return
-        answer = self.answer()
-        self.sim.telemetry.emit(
-            "service.answer",
-            requester=message.payload.requester,
-            epoch=answer.epoch,
-            committed_epoch=answer.committed_epoch,
-            degraded=answer.degraded,
-            staleness_epochs=answer.staleness_epochs,
-        )
-        node.send(message.payload.requester, MonitorAnswerPayload(answer=answer))
-
-    def _on_answer(self, message: Message) -> None:
-        assert isinstance(message.payload, MonitorAnswerPayload)
-        self._client_answers[message.recipient] = message.payload.answer

@@ -74,7 +74,6 @@ TRACE_KINDS: dict[str, str] = {
     "service.commit": "an epoch attempt committed a fresh result",
     "service.abandon": "an epoch attempt was abandoned (deadline/coverage/root)",
     "service.degraded": "an epoch ended degraded: serving the last committed result",
-    "service.answer": "the root served a monitor answer (fresh or degraded)",
     # -- multi-tenant front door (repro.frontdoor) ----------------------
     "frontdoor.submit": "a client peer fired a query request at the root",
     "frontdoor.admit": "admission control accepted a request into the batch queue",

@@ -9,6 +9,8 @@ delay, paired with the 1-based attempt number it followed.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.core.config import NetFilterConfig
@@ -17,17 +19,27 @@ from repro.core.netfilter import NetFilter
 from repro.core.recovery import RecoveryPolicy
 from repro.frontdoor import FrontDoorConfig
 from repro.frontdoor.batching import BatchSessionRunner, PendingRequest
+from repro.net.message import Payload
 from repro.net.network import Network
 from repro.net.overlay import Topology
 from repro.net.transport import ReliabilityConfig
+from repro.net.wire import CostCategory, SizeModel
 from repro.service import MonitorService, ServiceConfig
-from repro.service.payloads import MonitorQueryPayload
 from repro.sim.engine import Simulation
 from repro.sim.timers import backoff
 
 from tests.conftest import build_small_system
 
 CONFIG = NetFilterConfig(filter_size=20, num_filters=2, threshold_ratio=0.01)
+
+
+@dataclass(frozen=True)
+class Probe(Payload):  # repro-lint: disable=PROTO001
+    # Test-local payload for the reliable-send scenario; outside the codec.
+    category = CostCategory.CONTROL
+
+    def body_bytes(self, model: SizeModel) -> int:
+        return model.aggregate_bytes
 
 
 def _retry_events(sim: Simulation, kind: str) -> list[tuple[float, int]]:
@@ -59,7 +71,7 @@ def _transport_delay(base: float) -> list[tuple[int, float]]:
     )
     network.fail_peer(1)
     events = _retry_events(sim, "transport.retransmit")
-    network.node(0).send(1, MonitorQueryPayload(requester=0))
+    network.node(0).send(1, Probe())
     sim.run()
     # Event k re-sends after copy k; copy 1 left at t=0.
     return _gaps([(0.0, 1)] + [(time, attempt + 1) for time, attempt in events])

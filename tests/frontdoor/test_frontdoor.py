@@ -7,6 +7,7 @@ import pytest
 
 from repro.aggregation.hierarchical import AggregationEngine
 from repro.core.config import NetFilterConfig, ceil_threshold
+from repro.core.continuous import ContinuousNetFilter
 from repro.core.oracle import oracle_frequent_items
 from repro.errors import NetworkError, ProtocolError
 from repro.faults import DropMessages, FaultInjector, FaultScenario, MessageMatch
@@ -18,10 +19,12 @@ from repro.frontdoor import (
     FrontDoorConfig,
     TenantPolicy,
 )
+from repro.frontdoor.cache import AnswerCache
 from repro.hierarchy.builder import Hierarchy
 from repro.net.network import Network
 from repro.net.overlay import Topology
 from repro.net.transport import TransportConfig
+from repro.service import MonitorService, ServiceConfig
 from repro.sim.engine import Simulation
 from repro.workload.workload import Workload
 
@@ -316,11 +319,10 @@ def test_submit_of_unknown_requester_changes_nothing():
     assert door.status_counts() == {COMMITTED: 1, DEGRADED: 0, REJECTED: 0}
 
 
-def test_monitor_feed_fills_the_cache():
-    from repro.core.continuous import ContinuousNetFilter
-    from repro.service import MonitorService, ServiceConfig
-
-    sim = Simulation(seed=3)
+def build_monitored_door(seed=3):
+    """A 12-peer system whose front door is fed by a standing monitor at
+    the default epoch (240 s) and round (30 s) intervals."""
+    sim = Simulation(seed=seed)
     topology = Topology.random_connected(12, 4.0, sim.rng.stream("topology"))
     network = Network(
         sim, topology, transport_config=TransportConfig(latency=1.0, latency_jitter=0.3)
@@ -331,9 +333,13 @@ def test_monitor_feed_fills_the_cache():
     network.assign_items(workload.item_sets)
     hierarchy = Hierarchy.build(network, root=0)
     engine = AggregationEngine(hierarchy, child_timeout=30.0, hardened=True)
-    monitor = ContinuousNetFilter(FILTER, engine)
-    service = MonitorService(monitor, ServiceConfig())
+    service = MonitorService(ContinuousNetFilter(FILTER, engine), ServiceConfig())
     door = FrontDoor(engine, FILTER, FrontDoorConfig(), monitor=service)
+    return sim, network, service, door
+
+
+def test_monitor_feed_fills_the_cache():
+    sim, _, service, door = build_monitored_door()
     service.run(1)
     # The committed epoch reached the cache through the subscription;
     # a staleness-tolerant request is now served without any session.
@@ -343,6 +349,36 @@ def test_monitor_feed_fills_the_cache():
     record = door.outcome(request_id)
     assert record.status in (COMMITTED, DEGRADED)
     assert sum(1 for row in door.round_rows if row["batched"]) == 0
+
+
+def test_degraded_monitor_epoch_never_makes_the_cached_answer_younger():
+    sim, network, service, door = build_monitored_door()
+    service.run(1)
+    deposit_round = door.cache.entry("monitor").round_no
+    door.run(sim.now + 7 * door.config.round_interval)
+    network.fail_peer(0)
+    (outcome,) = service.run(1)
+    assert not outcome.committed and outcome.answer.staleness_epochs == 1
+    current = door.round_rows[-1]["round"]
+    hit = door.cache.lookup(0.05, max_staleness=100, current_round=current)
+    assert hit is not None
+    assert hit.staleness >= current - deposit_round == 6
+    # Nor below the monitor's own bound: one 240 s epoch is 8 rounds.
+    assert hit.staleness >= 8
+    # A tenant tolerating 4 rounds must not get data this old.
+    assert door.cache.lookup(0.05, max_staleness=4, current_round=current) is None
+
+
+def test_first_monitor_deposit_converts_epochs_to_rounds():
+    # The door first hears of the monitor on a degraded epoch: the epoch
+    # bound converts to rounds, rounded up (240 s epochs, 30 s rounds).
+    _, network, service, door = build_monitored_door()
+    service.run(1)
+    door.cache = AnswerCache()
+    network.fail_peer(0)
+    service.run(1)
+    entry = door.cache.entry("monitor")
+    assert entry is not None and entry.base_staleness == 8
 
 
 def test_every_request_terminates_under_mixed_load():

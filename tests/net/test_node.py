@@ -36,13 +36,6 @@ def test_duplicate_handler_rejected(network):
         node.register_handler(Ping, lambda m: None)
 
 
-def test_unregister_allows_reregistration(network):
-    node = network.node(1)
-    node.register_handler(Ping, lambda m: None)
-    node.unregister_handler(Ping)
-    node.register_handler(Ping, lambda m: None)  # does not raise
-
-
 def test_neighbors_exclude_dead_peers(network):
     assert sorted(network.node(0).neighbors) == [1, 2, 3]
     network.fail_peer(2)

@@ -12,10 +12,11 @@ from __future__ import annotations
 import pytest
 
 from repro.aggregation.hierarchical import AggregationEngine
-from repro.core.config import NetFilterConfig
+from repro.core.config import NetFilterConfig, carve_at_ratio
 from repro.core.continuous import DENSE, SPARSE, ContinuousNetFilter
 from repro.errors import ConfigurationError
 from repro.faults import FaultInjector, FaultScenario, SuspendPeer
+from repro.frontdoor import COMMITTED, DEGRADED, FrontDoor, FrontDoorConfig
 from repro.hierarchy.builder import Hierarchy
 from repro.hierarchy.maintenance import enable_maintenance
 from repro.net.heartbeat import HeartbeatConfig
@@ -168,16 +169,45 @@ def test_consecutive_degradation_escalates_to_dense_rebaseline():
     assert recovered.answer.staleness_epochs == 0
 
 
-def test_query_from_serves_the_standing_answer_over_the_wire():
+def test_remote_requester_gets_the_standing_answer_through_the_front_door():
     sim, network, hierarchy, service, before_epoch = make_service()
+    config = service.config
+    door = FrontDoor(
+        service.engine, service.monitor.config, FrontDoorConfig(), monitor=service
+    )
+    start = sim.now
+    victim = _suspend_epoch(sim, hierarchy, network, epoch=2, config=config)
+    requester = next(
+        peer for peer in reversed(hierarchy.leaves()) if peer != victim
+    )
+
+    def ask(ratio: float, max_staleness: int):
+        request_id = door.submit("acme", requester, ratio, max_staleness)
+        door.run(sim.now + door.config.round_interval)
+        return door.outcome(request_id)
+
+    def carved(ratio: float):
+        answer = service.answer()
+        return carve_at_ratio(answer.frequent, ratio, answer.grand_total)
+
     service.run(epochs=2, before_epoch=before_epoch)
-    local = service.answer()
-    remote = service.query_from(a_leaf(hierarchy))
-    assert remote is not None
-    assert remote.committed_epoch == local.committed_epoch
-    assert remote.epoch == local.epoch
-    assert not remote.degraded
-    assert remote.frequent == local.frequent
+    fresh = ask(0.02, max_staleness=0)
+    assert fresh.status == COMMITTED and fresh.staleness == 0
+    assert (fresh.items, fresh.threshold) == carved(0.02)
+    assert fresh.grand_total == service.answer().grand_total
+    deposit_round = door.cache.entry("monitor").round_no
+
+    # Run the door up to epoch 2's slot; the suspended leaf degrades it.
+    door.run(start + 2 * config.epoch_interval)
+    (outcome,) = service.run(epochs=1, before_epoch=before_epoch)
+    assert not outcome.committed and outcome.answer.committed_epoch == 1
+    rounds_since_deposit = door.round_rows[-1]["round"] - deposit_round
+    stale = ask(0.05, max_staleness=100)
+    assert stale.status == DEGRADED
+    assert stale.staleness >= rounds_since_deposit > 0
+    assert (stale.items, stale.threshold) == carved(0.05)
+    # Every answer came from the monitor's cache entry: no session ran.
+    assert not any(row["batched"] for row in door.round_rows)
 
 
 def test_service_config_validation():
